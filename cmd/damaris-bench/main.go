@@ -30,8 +30,8 @@
 //	damaris-bench -shard-bench     # run the event-loop sharding gates (0-alloc
 //	                               # shard routing, O(iteration) TakeIteration
 //	                               # scaling, byte identity across shard
-//	                               # counts, steal engagement on a skewed run,
-//	                               # spare-core budget) and emit BENCH_shard.json
+//	                               # counts, spare-core budget) and emit
+//	                               # BENCH_shard.json
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 			"run the telemetry-plane and fleet gates (0-alloc observe paths, byte-stable exposition, federation merge determinism, live /fleet/metrics counter-sum and epoch critical-path attribution runs) and emit a JSON report")
 		obsOut     = flag.String("obs-out", "BENCH_obs.json", "output path for -obs-bench")
 		shardBench = flag.Bool("shard-bench", false,
-			"run the event-loop sharding gates (0-alloc shard routing, O(iteration) TakeIteration scaling, byte identity across shard counts, steal engagement, spare-core budget) and emit a JSON report")
+			"run the event-loop sharding gates (0-alloc shard routing, O(iteration) TakeIteration scaling, byte identity across shard counts, spare-core budget) and emit a JSON report")
 		shardOut = flag.String("shard-out", "BENCH_shard.json", "output path for -shard-bench")
 	)
 	flag.Parse()

@@ -283,7 +283,6 @@ func runHedgeBench() (hedgeResult, error) {
 	defer os.RemoveAll(replica)
 
 	done := make(chan struct{})
-	defer close(done) // unpark goroutines stuck in the hung primary
 	hung := map[string]bool{store.OpPut: true, store.OpPutRename: true, store.OpCommit: true}
 	hang := store.FaultFunc(func(op, name string) error {
 		if hung[op] {
@@ -300,7 +299,12 @@ func runHedgeBench() (hedgeResult, error) {
 	if err != nil {
 		return res, err
 	}
-	defer backend.Close()
+	defer func() {
+		// Unpark the attempts stuck in the hung primary, then let the
+		// backend's owner join them.
+		close(done)
+		backend.Close()
+	}()
 
 	params := cm1.DefaultParams(resilienceRanks-1, 1)
 	cfg, err := config.ParseString(cm1.ConfigXML(params, 32<<20, "mutex", 1))

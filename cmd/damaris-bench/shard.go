@@ -19,22 +19,12 @@ import (
 )
 
 // shardParity is the sharding determinism gate: the same workload run with
-// 1, 2 and 4 event-loop shards (stealing on and off) must leave DSF objects
-// byte-identical to the classic single loop.
+// 1, 2 and 4 event-loop shards must leave DSF objects byte-identical to the
+// classic single loop.
 type shardParity struct {
 	Objects   int  `json:"objects"`
 	Variants  int  `json:"variants"`
 	Identical bool `json:"identical"`
-}
-
-// shardStealRun summarizes the skewed run that proves work stealing engages:
-// a slow synchronous persister blocks the flushing shard while its siblings
-// idle, so at least one write must migrate.
-type shardStealRun struct {
-	Shards int   `json:"shards"`
-	Events int64 `json:"events"`
-	Steals int64 `json:"steals"`
-	Stolen int64 `json:"stolen"`
 }
 
 // shardBudget is the spare-core budget gate, from a deterministic
@@ -61,12 +51,11 @@ type shardBenchReport struct {
 	// index makes the cost O(entries in the taken iteration), so the large
 	// residency may not cost more than ScalingGate x the small one (the old
 	// full-store scan scaled ~64x here).
-	TakeIterationNsSmall float64       `json:"take_iteration_ns_small"`
-	TakeIterationNsLarge float64       `json:"take_iteration_ns_large"`
-	ScalingGate          float64       `json:"scaling_gate"`
-	Parity               shardParity   `json:"parity"`
-	Steal                shardStealRun `json:"steal"`
-	Budget               shardBudget   `json:"budget"`
+	TakeIterationNsSmall float64     `json:"take_iteration_ns_small"`
+	TakeIterationNsLarge float64     `json:"take_iteration_ns_large"`
+	ScalingGate          float64     `json:"scaling_gate"`
+	Parity               shardParity `json:"parity"`
+	Budget               shardBudget `json:"budget"`
 }
 
 // takeIterationScalingGate: large-residency TakeIteration may cost at most
@@ -236,8 +225,8 @@ func runShardOnce(mut func(*config.Config), lat time.Duration, steps int) (map[s
 	return out, ps, nil
 }
 
-// runShardParity compares the classic loop against every shard-count x
-// stealing variant under injected store latency (different interleavings by
+// runShardParity compares the classic loop against every shard-count
+// variant under injected store latency (different interleavings by
 // construction); all must produce identical bytes.
 func runShardParity() (shardParity, error) {
 	const steps, lat = 8, 500 * time.Microsecond
@@ -249,8 +238,6 @@ func runShardParity() (shardParity, error) {
 		func(c *config.Config) { c.ShardCount = 1 },
 		func(c *config.Config) { c.ShardCount = 2 },
 		func(c *config.Config) { c.ShardCount = 4 },
-		func(c *config.Config) { c.ShardCount = 2; c.ShardSteal = 0 },
-		func(c *config.Config) { c.ShardCount = 4; c.ShardSteal = 1 },
 	}
 	p := shardParity{Objects: len(ref), Variants: len(variants), Identical: len(ref) > 0}
 	for _, mut := range variants {
@@ -269,27 +256,6 @@ func runShardParity() (shardParity, error) {
 		}
 	}
 	return p, nil
-}
-
-// runShardSteal drives a skewed run: synchronous persistence (the flush
-// blocks its shard loop inside the slow store) with a steal threshold of 1,
-// so idle siblings must take work from the blocked shard's queue.
-func runShardSteal() (shardStealRun, error) {
-	_, ps, err := runShardOnce(func(c *config.Config) {
-		c.PersistWorkers = 0
-		c.ShardCount = 4
-		c.ShardSteal = 1
-	}, 2*time.Millisecond, 30)
-	if err != nil {
-		return shardStealRun{}, err
-	}
-	out := shardStealRun{Shards: len(ps.Shards)}
-	for _, sh := range ps.Shards {
-		out.Events += sh.Events
-		out.Steals += sh.Steals
-		out.Stolen += sh.Stolen
-	}
-	return out, nil
 }
 
 // runShardBudget drives the tuner deterministically under sustained growth
@@ -337,7 +303,7 @@ func runShardBudget() (shardBudget, error) {
 
 // runShardBench runs the event-loop sharding gates — 0-alloc routing,
 // O(iteration) TakeIteration scaling, byte-identity across shard counts,
-// steal engagement on a skewed run, and the spare-core budget — and writes
+// and the spare-core budget — and writes
 // BENCH_shard.json. Any failed gate is an error.
 func runShardBench(outPath string) error {
 	allocs := benchShardRouting()
@@ -355,13 +321,6 @@ func runShardBench(outPath string) error {
 	fmt.Printf("parity: %d objects x %d shard variants, byte-identical=%v\n",
 		parity.Objects, parity.Variants, parity.Identical)
 
-	steal, err := runShardSteal()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("steal: %d shards handled %d events; %d steals, %d stolen\n",
-		steal.Shards, steal.Events, steal.Steals, steal.Stolen)
-
 	budget, err := runShardBudget()
 	if err != nil {
 		return err
@@ -375,7 +334,6 @@ func runShardBench(outPath string) error {
 		TakeIterationNsLarge: large,
 		ScalingGate:          takeIterationScalingGate,
 		Parity:               parity,
-		Steal:                steal,
 		Budget:               budget,
 	}, "", "  ")
 	if err != nil {
@@ -395,9 +353,6 @@ func runShardBench(outPath string) error {
 	}
 	if !parity.Identical {
 		return fmt.Errorf("sharded output parity failed (see %s)", outPath)
-	}
-	if steal.Steals < 1 {
-		return fmt.Errorf("no steal engaged on the skewed run (see %s)", outPath)
 	}
 	if !budget.Respected || budget.Vetoes < 1 {
 		return fmt.Errorf("spare-core budget gate failed: respected=%v vetoes=%d (see %s)",

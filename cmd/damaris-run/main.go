@@ -80,8 +80,6 @@ func main() {
 			"event-loop shards per dedicated core (0 or 1 = the classic single loop)")
 		shardsMode = flag.String("shards-mode", "",
 			"shard sizing: static (the -shards count is final; default) | auto (derive the count from the node spare-core budget, capped by -shards when set)")
-		shardsSteal = flag.Int("shards-steal", config.DefaultShardSteal,
-			"sibling queue backlog that lets an idle shard loop steal a write event (0 = stealing off)")
 		shardsBudget = flag.Int("shards-budget", 0,
 			"node spare-core budget shared by shard loops, persist writers and encode workers; setting it engages budget enforcement (0 = GOMAXPROCS-clients, engaged only in auto mode)")
 		metricsAddr = flag.String("metrics-addr", "",
@@ -98,7 +96,7 @@ func main() {
 		*encodeWork, *gzipLevel, *persistBackend, *storePartSize, *storePutWorkers,
 		*storePutTimeout, *spillDir, *spillAfter, *aggregate, *aggregateRing,
 		*controlMode, *controlInterval, *controlMaxWorkers, *controlMaxWindow, *controlMaxEncode,
-		*shards, *shardsMode, *shardsSteal, *shardsBudget,
+		*shards, *shardsMode, *shardsBudget,
 		*metricsAddr, *traceOut, *traceRing); err != nil {
 		fmt.Fprintln(os.Stderr, "damaris-run:", err)
 		os.Exit(1)
@@ -111,7 +109,7 @@ func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
 	storePutWorkers, storePutTimeout int, spillDir string, spillAfter int,
 	aggregate string, aggregateRing int,
 	controlMode string, controlInterval, controlMaxWorkers, controlMaxWindow, controlMaxEncode int,
-	shards int, shardsMode string, shardsSteal, shardsBudget int,
+	shards int, shardsMode string, shardsBudget int,
 	metricsAddr, traceOut string, traceRing int) error {
 	if ranks%coresPerNode != 0 {
 		return fmt.Errorf("ranks %d not a multiple of cores-per-node %d", ranks, coresPerNode)
@@ -191,7 +189,6 @@ func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
 		cfg.ControlMaxEncode = controlMaxEncode
 		cfg.ShardCount = shards
 		cfg.ShardMode = shardsMode
-		cfg.ShardSteal = shardsSteal
 		cfg.ShardBudget = shardsBudget
 		if err := cfg.Validate(); err != nil {
 			return err
@@ -408,16 +405,13 @@ func reportShards(ps []core.PipelineStats, budgets [][2]int) {
 	}
 	for i, s := range ps {
 		n := len(s.Shards)
-		var events, steals, stolen []int64
+		var events []int64
 		var busy []string
 		for _, sh := range s.Shards {
 			events = append(events, sh.Events)
-			steals = append(steals, sh.Steals)
-			stolen = append(stolen, sh.Stolen)
 			busy = append(busy, fmt.Sprintf("%.1f%%", 100*sh.BusyFraction))
 		}
-		fmt.Printf("shards[%d]: core %d: events=%v steals=%v stolen=%v busy=%v steal-threshold=%d\n",
-			n, i, events, steals, stolen, busy, s.StealThreshold)
+		fmt.Printf("shards[%d]: core %d: events=%v busy=%v\n", n, i, events, busy)
 	}
 	for i, b := range budgets {
 		if b[0] == 0 {

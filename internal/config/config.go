@@ -219,10 +219,6 @@ type Config struct {
 	// spare-core budget at deployment and engage the tuner's
 	// oversubscription veto).
 	ShardMode string
-	// ShardSteal is the sibling queue length above which an idle shard
-	// steals pending write-notifications (0 = stealing off; an XML <shards>
-	// element without a steal attribute selects DefaultShardSteal).
-	ShardSteal int
 	// ShardBudget overrides the node spare-core budget that shards auto
 	// mode and the tuner's oversubscription veto divide between shard
 	// loops, persist writers, and encode workers (0 = derive
@@ -319,12 +315,10 @@ type xmlControl struct {
 }
 
 // xmlShards shards the dedicated core's event loop; numeric attributes are
-// strings so absent (default) is distinguishable from an explicit "0"
-// (steal="0" turns work stealing off).
+// strings so absent (default) is distinguishable from an explicit "0".
 type xmlShards struct {
 	Count  string `xml:"count,attr"`
 	Mode   string `xml:"mode,attr"`
-	Steal  string `xml:"steal,attr"`
 	Budget string `xml:"budget,attr"`
 }
 
@@ -361,10 +355,6 @@ const (
 	// DefaultSpillAfter is the consecutive-backpressure count that triggers
 	// a scratch spill when <spill> enables one without an explicit after.
 	DefaultSpillAfter = 2
-	// DefaultShardSteal is the sibling queue length above which an idle
-	// shard loop steals work, applied when a <shards> element omits the
-	// steal attribute.
-	DefaultShardSteal = 4
 )
 
 // Parse reads configuration XML from r.
@@ -483,7 +473,6 @@ func build(f *xmlFile) (*Config, error) {
 	// Event-loop sharding selection.
 	if f.Shards != nil {
 		c.ShardMode = f.Shards.Mode
-		c.ShardSteal = DefaultShardSteal
 		atoi := func(name, v string, dst *int) error {
 			if v == "" {
 				return nil
@@ -496,9 +485,6 @@ func build(f *xmlFile) (*Config, error) {
 			return nil
 		}
 		if err := atoi("count", f.Shards.Count, &c.ShardCount); err != nil {
-			return nil, err
-		}
-		if err := atoi("steal", f.Shards.Steal, &c.ShardSteal); err != nil {
 			return nil, err
 		}
 		if err := atoi("budget", f.Shards.Budget, &c.ShardBudget); err != nil {
@@ -719,9 +705,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ShardCount < 0 {
 		return fmt.Errorf("config: negative shard count %d", c.ShardCount)
-	}
-	if c.ShardSteal < 0 {
-		return fmt.Errorf("config: negative shard steal threshold %d", c.ShardSteal)
 	}
 	if c.ShardBudget < 0 {
 		return fmt.Errorf("config: negative shard spare-core budget %d", c.ShardBudget)

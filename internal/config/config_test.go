@@ -555,3 +555,18 @@ func TestPhaseBytesPerClient(t *testing.T) {
 		t.Errorf("empty config phase bytes = %d", got)
 	}
 }
+
+// The retired <shards steal> attribute is ignored like any unknown XML
+// attribute, so configs written for work stealing still load.
+func TestShardsIgnoresRetiredStealAttribute(t *testing.T) {
+	c, err := ParseString(`<simulation><shards count="2" mode="static" steal="4" budget="3"/></simulation>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ShardCount != 2 || c.ShardMode != "static" || c.ShardBudget != 3 {
+		t.Errorf("shards = count %d mode %q budget %d, want 2 static 3", c.ShardCount, c.ShardMode, c.ShardBudget)
+	}
+	if err := c.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
+	}
+}

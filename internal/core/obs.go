@@ -39,13 +39,10 @@ func (ps PipelineStats) Emit(e *obs.Emitter, labels ...string) {
 	}
 	e.Counter("damaris_aggregate_forwarded_total", float64(ps.AggregateForwarded), labels...)
 	e.Gauge("damaris_shard_count", float64(len(ps.Shards)), labels...)
-	e.Gauge("damaris_shard_steal_threshold", float64(ps.StealThreshold), labels...)
 	for i, sh := range ps.Shards {
 		sl := append([]string{"shard", fmt.Sprint(i)}, labels...)
 		e.Gauge("damaris_shard_queue_depth", float64(sh.QueueLen), sl...)
 		e.Counter("damaris_shard_events_total", float64(sh.Events), sl...)
-		e.Counter("damaris_shard_steals_total", float64(sh.Steals), sl...)
-		e.Counter("damaris_shard_stolen_total", float64(sh.Stolen), sl...)
 		e.Gauge("damaris_shard_busy_fraction", sh.BusyFraction, sl...)
 	}
 }
@@ -72,7 +69,7 @@ func (ss SpillStats) Emit(e *obs.Emitter, labels ...string) {
 // time" measure) and the per-iteration write-time summary.
 func (s *Server) emitServer(e *obs.Emitter, labels ...string) {
 	e.Counter("damaris_server_bytes_written_total", float64(s.BytesWritten()), labels...)
-	e.Counter("damaris_server_iterations_total", float64(len(s.Iterations())), labels...)
+	e.Counter("damaris_server_iterations_total", float64(s.iterationCount()), labels...)
 	e.Counter("damaris_server_spare_seconds_total", s.SpareSeconds(), labels...)
 	e.Counter("damaris_server_busy_seconds_total", s.BusySeconds(), labels...)
 	e.Summary("damaris_server_write_seconds", s.WriteStats(), labels...)

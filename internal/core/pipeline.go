@@ -27,11 +27,16 @@ import (
 // submitted iteration is durable too. Shared-memory chunks, by contrast,
 // are released as soon as their own iteration's write returns, since the
 // space is reusable regardless of sibling iterations.
+//
+// Zero writers is the synchronous baseline: there is no queue and no writer
+// goroutine, and submit persists each iteration on the event loop itself,
+// one per call, through the same scheduler wait, release-after-durability
+// and in-order ack code the writers run.
 type pipeline struct {
 	persister Persister
 	scheduler Scheduler
 	maxBatch  int
-	jobs      chan persistJob
+	jobs      chan persistJob // nil with zero writers
 	wg        sync.WaitGroup
 	start     time.Time
 	// stopped freezes the utilization wall clock once close() drains — a
@@ -102,8 +107,9 @@ type persistDone struct {
 }
 
 // newPipeline starts `workers` writer goroutines over a queue of depth
-// `depth`. Batching is capped at the queue depth: a writer wakes, takes one
-// job, then greedily drains whatever else is already queued so one durable
+// `depth`; workers=0 builds the writerless synchronous pipeline. Batching
+// is capped at the queue depth: a writer wakes, takes one job, then
+// greedily drains whatever else is already queued so one durable
 // persister call can cover several iterations (amortizing per-call costs —
 // file creation, fsync — exactly where a slow persister hurts most). When a
 // Scheduler is present that is not batch-aware, batching is disabled, since
@@ -111,27 +117,27 @@ type persistDone struct {
 // BatchScheduler keeps batching on and waits once per batch instead.
 func newPipeline(persister Persister, scheduler Scheduler, workers, depth int,
 	onDurable func(it int64, persistDur, latency float64, bytes int64, err error)) *pipeline {
-	if workers < 1 {
-		workers = 1
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	maxBatch := depth
-	if scheduler != nil {
-		if _, ok := scheduler.(BatchScheduler); !ok {
-			maxBatch = 1
-		}
-	}
 	p := &pipeline{
 		persister: persister,
 		scheduler: scheduler,
-		maxBatch:  maxBatch,
-		jobs:      make(chan persistJob, depth),
+		maxBatch:  1,
 		start:     time.Now(),
 		onDurable: onDurable,
 		done:      make(map[int64]persistDone),
 	}
+	if workers < 1 {
+		return p
+	}
+	if depth < 1 {
+		depth = 1
+	}
+	p.maxBatch = depth
+	if scheduler != nil {
+		if _, ok := scheduler.(BatchScheduler); !ok {
+			p.maxBatch = 1
+		}
+	}
+	p.jobs = make(chan persistJob, depth)
 	p.mu.Lock()
 	p.ws.Resize(workers, p.startWriter)
 	p.mu.Unlock()
@@ -151,11 +157,9 @@ func (p *pipeline) startWriter(slot int, stop chan struct{}) {
 // current batch (slot semantics in control.WorkerSet). The pool never
 // drops below one writer, and resizing never affects durability ordering:
 // acks still advance strictly by submission seq, which is independent of
-// which (or how many) writers complete the work. Must not race close.
+// which (or how many) writers complete the work. Must not race close, and
+// never applies to the writerless pipeline (auto control requires writers).
 func (p *pipeline) resize(n int) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -177,7 +181,8 @@ func (p *pipeline) attachTracer(tr *obs.Tracer, server int) {
 
 // submit hands one completed iteration to the writers. It blocks while the
 // queue is full — the backpressure point for the event loop — and must not
-// be called after close.
+// be called after close. Without writers it persists the iteration before
+// returning.
 //
 // With a scratch attached, sustained backpressure changes the story: once
 // the queue has been full for `scratch.after` consecutive submits, the
@@ -203,6 +208,10 @@ func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
 	p.depthAcc.Add(float64(p.inFlight))
 	p.mu.Unlock()
 	job := persistJob{seq: seq, it: it, entries: entries, bytes: bytes, submitted: time.Now()}
+	if p.jobs == nil {
+		p.persistAndAck(inlineWriter, []persistJob{job})
+		return
+	}
 	if p.scratch == nil {
 		p.jobs <- job
 		return
@@ -313,7 +322,9 @@ func (p *pipeline) close() {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	close(p.jobs)
+	if p.jobs != nil {
+		close(p.jobs)
+	}
 	p.wg.Wait()
 	p.mu.Lock()
 	p.stopped = time.Now()
@@ -366,6 +377,10 @@ func tryRecv(ch chan persistJob) (persistJob, bool) {
 		return persistJob{}, false
 	}
 }
+
+// inlineWriter is the writer id persistAndAck gets when the event loop
+// persists for a writerless pipeline; it owns no WorkerSet slot.
+const inlineWriter = -1
 
 // persistAndAck writes one batch durably, releases its shared-memory
 // chunks, and records completion for in-order acking.
@@ -435,7 +450,9 @@ func (p *pipeline) persistAndAck(id int, batch []persistJob) {
 	perIt := dur / float64(len(batch))
 	p.ackMu.Lock()
 	p.mu.Lock()
-	p.ws.AddBusy(id, dur)
+	if id != inlineWriter {
+		p.ws.AddBusy(id, dur)
+	}
 	p.batchAcc.Add(float64(len(batch)))
 	for i, j := range batch {
 		p.completed++
@@ -470,7 +487,9 @@ type PipelineStats struct {
 	// Workers is the effective (possibly auto-tuned) writer goroutine count
 	// (0 = synchronous baseline).
 	Workers int
-	// QueueDepth is the configured bound on in-flight iterations.
+	// QueueDepth is the configured bound on in-flight iterations
+	// (persist_queue_depth; the synchronous baseline holds one at a time
+	// whatever it says).
 	QueueDepth int
 	// Window is the effective client flow-window depth (equals QueueDepth
 	// under static control; the tuner moves it in auto mode). 1 in the
@@ -529,9 +548,13 @@ type PipelineStats struct {
 	// shard loop; a single classic loop reports one). Filled by
 	// Server.PipelineStats.
 	Shards []ShardStat
-	// StealThreshold is the sibling-queue backlog that triggers work
-	// stealing between shard loops (0 = stealing off or single shard).
-	StealThreshold int
+}
+
+// workers returns the commanded writer count (0 = synchronous baseline).
+func (p *pipeline) workers() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ws.Workers()
 }
 
 // tuneSample cheaply reads the telemetry the control plane consumes every

@@ -42,9 +42,10 @@ type BatchScheduler interface {
 // shared queue, maintains the metadata catalog through the EPE, and hands
 // each completed iteration to the write-behind persistence pipeline, so
 // that I/O overlaps the clients' next compute phase and a slow persister
-// never stalls event draining. With PersistWorkers=0 the server instead
-// flushes synchronously inside the event loop — the coupled baseline the
-// paper's dedicated-core design eliminates, kept for comparison runs.
+// never stalls event draining. With PersistWorkers=0 the pipeline has no
+// writers and the event loop persists each iteration itself — the coupled
+// baseline the paper's dedicated-core design eliminates, kept for
+// comparison runs.
 type Server struct {
 	cfg       *config.Config
 	eng       *event.Engine // shard 0's engine (they share the store and tally)
@@ -59,7 +60,7 @@ type Server struct {
 	group     int // dedicated-core index within the node
 	persister Persister
 	scheduler Scheduler
-	pipe      *pipeline       // nil in the synchronous baseline
+	pipe      *pipeline       // write-behind pipeline (zero writers in the synchronous baseline)
 	scratch   *scratch        // degraded-mode spill file; nil when disabled
 	encPool   *dsf.EncodePool // nil when encode_workers is 0
 	ownStore  store.Backend   // backend this server opened (and must close)
@@ -84,14 +85,12 @@ type Server struct {
 	mu           sync.Mutex
 	shardWS      control.WorkerSet // per-shard-loop busy bookkeeping (one slot per shard)
 	writeDurs    []float64         // seconds spent persisting, per iteration
-	flushLats    []float64         // seconds from iteration completion to durability
 	spareDur     float64           // seconds spent idle waiting for events
 	busyDur      float64           // seconds handling events (incl. persisting only in the sync baseline)
 	bytesWritten int64
 	iterations   []int64
 	handleErrs   []error
 	flushErr     error // first persistence error, surfaced by Run/Close
-	syncFails    int64 // failed iterations in the synchronous baseline
 	running      bool
 }
 
@@ -129,12 +128,8 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 		tracer:    opts.Obs.Tracer(),
 		iterFirst: make(map[int64]time.Time),
 	}
-	steal := 0
-	if len(engines) > 1 {
-		steal = cfg.ShardSteal
-	}
 	for i := range engines {
-		s.shards = append(s.shards, &shardLoop{idx: i, queue: queues[i], eng: engines[i], steal: steal})
+		s.shards = append(s.shards, &shardLoop{idx: i, queue: queues[i], eng: engines[i]})
 	}
 	// One WorkerSet slot per shard loop: the same busy bookkeeping the
 	// writer and encode pools use, so per-shard utilization is computed the
@@ -274,44 +269,44 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 			fc.setWindow(int64(t.Sizes().Window))
 		}
 	}
-	if cfg.PersistWorkers > 0 {
-		workers, depth := cfg.PersistWorkers, cfg.PersistQueueDepth
-		if s.tuner != nil {
-			workers = s.tuner.Sizes().Writers
-			// The queue must be able to carry the widest window the tuner may
-			// open; the effective backpressure point is the flow window, which
-			// the tuner moves inside [1, MaxWindow]. With a scratch file
-			// configured the configured depth stays authoritative instead:
-			// sustained overflow spills to local disk (bounded memory), and
-			// the tuner's degraded mode vetoes window growth while the
-			// backlog replays.
-			if lim := s.tuner.Limits(); cfg.SpillDir == "" && lim.MaxWindow > depth {
-				depth = lim.MaxWindow
-			}
+	workers, depth := cfg.PersistWorkers, cfg.PersistQueueDepth
+	if s.tuner != nil {
+		workers = s.tuner.Sizes().Writers
+		// The queue must be able to carry the widest window the tuner may
+		// open; the effective backpressure point is the flow window, which
+		// the tuner moves inside [1, MaxWindow]. With a scratch file
+		// configured the configured depth stays authoritative instead:
+		// sustained overflow spills to local disk (bounded memory), and
+		// the tuner's degraded mode vetoes window growth while the
+		// backlog replays.
+		if lim := s.tuner.Limits(); cfg.SpillDir == "" && lim.MaxWindow > depth {
+			depth = lim.MaxWindow
 		}
-		s.pipe = newPipeline(s.persister, s.scheduler,
-			workers, depth, s.iterationDurable)
-		s.pipe.attachTracer(s.tracer, worldRank)
-		if cfg.SpillDir != "" {
-			// Degraded-mode scratch file, one per dedicated core. Opening it
-			// also performs crash recovery: frames a previous run left behind
-			// are handed straight to the drainer, which replays them through
-			// this server's normal persist path. Config.Validate has already
-			// rejected spill with aggregation (spilled chunks are released
-			// early, which the shared merge ring cannot tolerate) and spill
-			// without an asynchronous pipeline.
-			path := fmt.Sprintf("%s/node%04d_srv%04d.spill", cfg.SpillDir, node, worldRank)
-			sc, err := openScratch(path, cfg.SpillAfter, s.persister)
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d: %w", worldRank, err)
-			}
-			s.scratch = sc
-			s.pipe.attachScratch(sc)
+	}
+	s.pipe = newPipeline(s.persister, s.scheduler, workers, depth, s.iterationDurable)
+	s.pipe.attachTracer(s.tracer, worldRank)
+	if cfg.SpillDir != "" {
+		// Degraded-mode scratch file, one per dedicated core. Opening it
+		// also performs crash recovery: frames a previous run left behind
+		// are handed straight to the drainer, which replays them through
+		// this server's normal persist path. Config.Validate has already
+		// rejected spill with aggregation (spilled chunks are released
+		// early, which the shared merge ring cannot tolerate) and spill
+		// without an asynchronous pipeline.
+		path := fmt.Sprintf("%s/node%04d_srv%04d.spill", cfg.SpillDir, node, worldRank)
+		sc, err := openScratch(path, cfg.SpillAfter, s.persister)
+		if err != nil {
+			return nil, fmt.Errorf("core: server %d: %w", worldRank, err)
 		}
+		s.scratch = sc
+		s.pipe.attachScratch(sc)
 	}
 	for i, eng := range engines {
 		shard := i
-		eng.OnIterationEnd = func(it int64) error { return s.flushIterationFrom(shard, it) }
+		eng.OnIterationEnd = func(it int64) error {
+			s.flushIterationFrom(shard, it)
+			return nil
+		}
 		// The last ClientExit (counted node-wide on the shared tally) closes
 		// every shard queue so all loops drain and exit.
 		eng.OnAllExited = func() error {
@@ -417,19 +412,11 @@ func (s *Server) Run() error {
 	s.stoppedAt = time.Now()
 	s.mu.Unlock()
 	// Flush anything left behind (clients that exited without ending their
-	// last iteration).
-	if leftover := s.eng.Store().Iterations(); len(leftover) > 0 {
-		sort.Slice(leftover, func(i, j int) bool { return leftover[i] < leftover[j] })
-		for _, it := range leftover {
-			if err := s.flushIteration(it); err != nil {
-				s.mu.Lock()
-				s.handleErrs = append(s.handleErrs, err)
-				if s.flushErr == nil {
-					s.flushErr = err
-				}
-				s.mu.Unlock()
-			}
-		}
+	// last iteration); -1 marks the flush as not shard-attributed.
+	leftover := s.eng.Store().Iterations()
+	sort.Slice(leftover, func(i, j int) bool { return leftover[i] < leftover[j] })
+	for _, it := range leftover {
+		s.flushIterationFrom(-1, it)
 	}
 	return s.Close()
 }
@@ -442,9 +429,7 @@ func (s *Server) Run() error {
 // clients are still producing events.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		if s.pipe != nil {
-			s.pipe.close()
-		}
+		s.pipe.close()
 		// The scratch drainer gets one final attempt at any spill backlog; a
 		// frame it cannot replay stays in the scratch file (recovered on the
 		// next start) and is surfaced as the close error.
@@ -452,7 +437,7 @@ func (s *Server) Close() error {
 			if err := s.scratch.close(); err != nil {
 				s.mu.Lock()
 				if s.flushErr == nil {
-					s.flushErr = flushError{fmt.Errorf("core: server %d: %w", s.id, err)}
+					s.flushErr = fmt.Errorf("core: server %d: %w", s.id, err)
 				}
 				s.mu.Unlock()
 			}
@@ -466,7 +451,7 @@ func (s *Server) Close() error {
 			if err := s.agg.close(); err != nil {
 				s.mu.Lock()
 				if s.flushErr == nil {
-					s.flushErr = flushError{fmt.Errorf("core: server %d: close aggregator: %w", s.id, err)}
+					s.flushErr = fmt.Errorf("core: server %d: close aggregator: %w", s.id, err)
 				}
 				s.mu.Unlock()
 			}
@@ -480,7 +465,7 @@ func (s *Server) Close() error {
 			if err := s.ownStore.Close(); err != nil {
 				s.mu.Lock()
 				if s.flushErr == nil {
-					s.flushErr = flushError{fmt.Errorf("core: server %d: close backend: %w", s.id, err)}
+					s.flushErr = fmt.Errorf("core: server %d: close backend: %w", s.id, err)
 				}
 				s.mu.Unlock()
 			}
@@ -495,34 +480,21 @@ func (s *Server) Close() error {
 	return s.flushErr
 }
 
-type flushError struct{ err error }
-
-func (f flushError) Error() string { return f.err.Error() }
-func (f flushError) Unwrap() error { return f.err }
-
-func isFlushError(err error) bool {
-	_, ok := err.(flushError)
-	return ok
-}
-
-// flushIteration hands one completed iteration to the persistence path
-// without attributing it to an event-loop shard — the leftover path Run
-// takes after every shard loop has drained.
-func (s *Server) flushIteration(it int64) error { return s.flushIterationFrom(-1, it) }
-
 // flushIterationFrom hands one completed iteration to the persistence path.
 // It is the engine's OnIterationEnd hook, so it runs on the dedicated core —
 // the simulation never waits for it; with several shard loops the engine's
 // tally has already serialized flushes into ascending-iteration order, so at
 // most one flush runs at a time (the pipeline's single-submitter contract).
 // `shard` is the loop that counted the iteration's last EndIteration (-1 =
-// not shard-attributed). With the write-behind pipeline the hand-off is a
-// bounded-queue send (blocking only when the pipeline is
-// `persist_queue_depth` iterations behind — the backpressure point); the
-// event loop then resumes draining client events while writers persist.
+// not shard-attributed). With writers the hand-off is a bounded-queue send
+// (blocking only when the pipeline is `persist_queue_depth` iterations
+// behind — the backpressure point); the event loop then resumes draining
+// client events while writers persist. With zero writers (the synchronous
+// baseline) the submit persists on the event loop before returning.
 // Entries leave the metadata catalog here but their shared-memory chunks
-// stay pinned until a writer reports the iteration durable.
-func (s *Server) flushIterationFrom(shard int, it int64) error {
+// stay pinned until the iteration is durable. Persist errors reach Run and
+// HandleErrors through iterationDurable.
+func (s *Server) flushIterationFrom(shard int, it int64) {
 	entries := s.eng.Store().TakeIteration(it)
 	if s.tracer != nil {
 		// StageWrite: first client write notification → iteration complete,
@@ -550,42 +522,19 @@ func (s *Server) flushIterationFrom(shard int, it int64) error {
 	if ap, ok := s.persister.(*aggPersister); ok {
 		ap.submit(it, entries)
 	}
-	if s.pipe != nil {
-		s.pipe.submit(it, entries)
-		// Control plane: observe this iteration boundary and, at most once
-		// per decision interval, re-size the writer pool, flow window and
-		// encode pool. Resizing happens here — between iterations, on the
-		// event loop — never mid-write.
-		s.tune()
-		return nil
-	}
-
-	// Synchronous baseline: persist inline, inside the event loop.
-	if s.scheduler != nil {
-		s.scheduler.WaitTurn(it)
-	}
-	start := time.Now()
-	var bytes int64
-	for _, e := range entries {
-		bytes += e.Size()
-	}
-	err := s.persister.Persist(it, entries)
-	for _, e := range entries {
-		e.Release()
-	}
-	dur := time.Since(start).Seconds()
-	s.iterationDurable(it, dur, dur, bytes, err)
-	if err != nil {
-		return flushError{fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err)}
-	}
-	return nil
+	s.pipe.submit(it, entries)
+	// Control plane: observe this iteration boundary and, at most once per
+	// decision interval, re-size the writer pool, flow window and encode
+	// pool. Resizing happens here — between iterations, on the event loop —
+	// never mid-write.
+	s.tune()
 }
 
 // tune feeds one telemetry sample to the control plane and applies any
 // decision it returns. Called from the event loop at iteration boundaries
 // only; a nil tuner (static mode) makes it a no-op.
 func (s *Server) tune() {
-	if s.tuner == nil || s.pipe == nil {
+	if s.tuner == nil {
 		return
 	}
 	now := s.clock.Now()
@@ -638,22 +587,17 @@ func (s *Server) tune() {
 
 // iterationDurable records one iteration's durability and advances the
 // client flow-control window. The pipeline invokes it in submission (ack)
-// order once the iteration and all earlier ones are durable; the
-// synchronous baseline calls it inline.
+// order once the iteration and all earlier ones are durable.
 func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes int64, err error) {
 	s.mu.Lock()
 	s.writeDurs = append(s.writeDurs, persistDur)
-	s.flushLats = append(s.flushLats, latency)
 	s.iterations = append(s.iterations, it)
 	if err == nil {
 		s.bytesWritten += bytes
-	} else if s.pipe == nil {
-		s.syncFails++
 	} else {
-		// Pipeline errors never travel through Engine.Handle, so record
-		// them here for HandleErrors/Run; the sync path reports through
-		// flushIteration's return instead.
-		werr := flushError{fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err)}
+		// Persist errors never travel through Engine.Handle, so record them
+		// here for HandleErrors/Run.
+		werr := fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err)
 		s.handleErrs = append(s.handleErrs, werr)
 		if s.flushErr == nil {
 			s.flushErr = werr
@@ -705,6 +649,14 @@ func (s *Server) Iterations() []int64 {
 	return append([]int64(nil), s.iterations...)
 }
 
+// iterationCount is len(Iterations()) without the copy — what a scrape
+// reads, so its cost does not grow with the run.
+func (s *Server) iterationCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.iterations)
+}
+
 // HandleErrors returns the per-event errors collected during Run.
 func (s *Server) HandleErrors() []error {
 	s.mu.Lock()
@@ -719,53 +671,16 @@ func (s *Server) WriteStats() stats.Summary {
 	return stats.Summarize(s.writeDurs)
 }
 
-// FlushLatencies returns, per iteration in ack order, the seconds from
-// iteration completion (all clients ended it) to durability. In the
-// synchronous baseline this equals the write time; under the write-behind
-// pipeline it additionally includes queueing delay.
-func (s *Server) FlushLatencies() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]float64(nil), s.flushLats...)
-}
-
 // PipelineStats snapshots the write-behind pipeline's per-stage metrics
 // (queue depth, flush latency, batch size, writer utilization, encode-stage
-// latency and pool utilization). In the synchronous baseline it reports
-// Workers=0 with only FlushLatency and Encode filled.
+// latency and pool utilization). The synchronous baseline reports Workers=0
+// and Window=1.
 func (s *Server) PipelineStats() PipelineStats {
-	var ps PipelineStats
-	if s.pipe == nil {
-		s.mu.Lock()
-		ps = PipelineStats{
-			Window:       1,
-			Enqueued:     int64(len(s.flushLats)),
-			Completed:    int64(len(s.flushLats)),
-			Failures:     s.syncFails,
-			FlushLatency: stats.Summarize(s.flushLats),
-		}
-		s.mu.Unlock()
-	} else {
-		ps = s.pipe.snapshot(s.cfg.PersistQueueDepth)
-		ps.Window = s.cfg.PersistQueueDepth
-		if s.fc != nil {
-			ps.Window = int(s.fc.windowSize())
-		}
-	}
+	ps := s.pipe.snapshot(s.cfg.PersistQueueDepth)
+	ps.Window = s.window()
 	ps.Shards = s.shardStats()
-	if len(s.shards) > 0 {
-		ps.StealThreshold = s.shards[0].steal
-	}
 	ps.Control = s.tuner.Stats()
-	// Report the pool this server owns, or the one an external persister
-	// carries; nil pools yield zero stats.
-	pool := s.encPool
-	if pool == nil {
-		if pp, ok := s.persister.(interface{ EncodePool() *dsf.EncodePool }); ok {
-			pool = pp.EncodePool()
-		}
-	}
-	ps.Encode = pool.Stats()
+	ps.Encode = s.encodePool().Stats()
 	// Storage-backend metrics, when the persister exposes them (the DSF
 	// persister always does once it has written).
 	if ss, ok := s.persister.(StoreStatser); ok {
@@ -792,26 +707,31 @@ func (s *Server) PipelineStats() PipelineStats {
 // exactly the configured knobs; under auto control they are wherever the
 // tuner currently sits — what damaris-run's report lines print.
 func (s *Server) EffectiveSizes() (writers, window, encode int) {
-	window = 1
-	if s.pipe != nil {
-		snap := s.pipe.snapshot(s.cfg.PersistQueueDepth)
-		writers = snap.Workers
-		window = s.cfg.PersistQueueDepth
+	return s.pipe.workers(), s.window(), s.encodePool().Workers()
+}
+
+// window is the effective client flow-window depth: the flow controller's
+// live size (1 in the synchronous baseline, the tuner's choice under auto
+// control), or the configured depth for a server without one.
+func (s *Server) window() int {
+	if s.fc != nil {
+		return int(s.fc.windowSize())
 	}
-	if s.fc != nil && s.pipe != nil {
-		window = int(s.fc.windowSize())
+	return s.cfg.PersistQueueDepth
+}
+
+// encodePool is whatever pool actually encodes for this server — the one it
+// owns, or one carried by an external persister (never resized by the
+// control plane, but its size is still the effective one). Nil pools yield
+// zero stats and sizes.
+func (s *Server) encodePool() *dsf.EncodePool {
+	if s.encPool != nil {
+		return s.encPool
 	}
-	// Report whatever pool actually encodes for this server — owned or
-	// carried by an external persister (the latter is never resized by the
-	// control plane, but its size is still the effective one).
-	pool := s.encPool
-	if pool == nil {
-		if pp, ok := s.persister.(interface{ EncodePool() *dsf.EncodePool }); ok {
-			pool = pp.EncodePool()
-		}
+	if pp, ok := s.persister.(interface{ EncodePool() *dsf.EncodePool }); ok {
+		return pp.EncodePool()
 	}
-	encode = pool.Workers()
-	return writers, window, encode
+	return nil
 }
 
 // Persister is the persistency layer invoked once per completed iteration

@@ -19,31 +19,25 @@ import (
 // single-submitter sequence the pre-sharding loop produced. See
 // docs/sharding.md.
 
-// stealPoll is how long an idle shard loop waits on its own queue between
-// scans of sibling queues for stealable work. Only used when stealing is on
-// and more than one shard runs.
-const stealPoll = time.Millisecond
-
 // shardLoop is one of the dedicated core's event-loop shards.
 type shardLoop struct {
 	idx   int
 	queue *event.Queue
 	eng   *event.Engine
-	steal int // sibling queue length that triggers stealing; 0 = off
 
 	mu     sync.Mutex
-	events int64 // events handled by this loop, including stolen ones
-	steals int64 // events this shard stole from sibling queues
-	stolen int64 // events siblings stole from this shard's queue
+	events int64 // events handled by this loop
 }
 
 // ShardStat is one event-loop shard's activity snapshot, reported through
 // PipelineStats.Shards.
 type ShardStat struct {
-	// Events counts events handled by this shard's loop (including ones it
-	// stole); Steals counts events it took from sibling queues; Stolen
-	// counts events siblings took from its queue.
-	Events, Steals, Stolen int64
+	// Events counts events handled by this shard's loop.
+	Events int64
+	// Steals is always 0: shard loops no longer steal from each other.
+	// The field stays only because the end-to-end benchmark still reads
+	// it for its event.steals figure; it goes when that figure does.
+	Steals int64
 	// QueueLen is the shard queue's instantaneous length at snapshot time.
 	QueueLen int
 	// BusySeconds is the time this shard's loop spent handling events;
@@ -103,13 +97,13 @@ func effectiveShards(cfg *config.Config, clients int) int {
 	return n
 }
 
-// runShard is one shard loop: pop (or steal) events, time idle vs busy, and
-// hand each event to the shard's engine. It returns when the shard's queue
-// is closed and drained.
+// runShard is one shard loop: pop events from the shard's own queue, time
+// idle vs busy, and hand each event to the shard's engine. It returns when
+// the shard's queue is closed and drained.
 func (s *Server) runShard(sl *shardLoop) {
 	for {
 		idleStart := time.Now()
-		ev, ok, wasStolen := s.nextEvent(sl)
+		ev, ok := sl.queue.Pop()
 		s.mu.Lock()
 		s.spareDur += time.Since(idleStart).Seconds()
 		s.mu.Unlock()
@@ -124,18 +118,9 @@ func (s *Server) runShard(sl *shardLoop) {
 			}
 			s.mu.Unlock()
 		}
-		err := sl.eng.Handle(ev)
-		if wasStolen {
-			// The write is applied (or definitively rejected): release any
-			// flush waiting on this iteration's stolen events.
-			sl.eng.Tally().DonePending(ev.Iteration)
-		}
-		if err != nil {
+		if err := sl.eng.Handle(ev); err != nil {
 			s.mu.Lock()
 			s.handleErrs = append(s.handleErrs, err)
-			if s.flushErr == nil && isFlushError(err) {
-				s.flushErr = err
-			}
 			s.mu.Unlock()
 		}
 		busy := time.Since(busyStart).Seconds()
@@ -147,72 +132,6 @@ func (s *Server) runShard(sl *shardLoop) {
 		sl.events++
 		sl.mu.Unlock()
 	}
-}
-
-// nextEvent returns the shard's next event: its own queue first, then — when
-// stealing is on and the queue is empty — a bounded steal from the most
-// backlogged direction of the sibling ring, interleaved with short timed
-// waits on its own queue. ok=false means the queue is closed and drained;
-// wasStolen marks events that must be un-pended after handling.
-func (s *Server) nextEvent(sl *shardLoop) (ev event.Event, ok, wasStolen bool) {
-	if ev, ok := sl.queue.TryPop(); ok {
-		return ev, true, false
-	}
-	stealing := sl.steal > 0 && len(s.shards) > 1
-	for {
-		if stealing {
-			if ev, ok := s.trySteal(sl); ok {
-				return ev, true, true
-			}
-			ev, ok, closed := sl.queue.PopWait(stealPoll)
-			if ok {
-				return ev, true, false
-			}
-			if closed {
-				return event.Event{}, false, false
-			}
-			continue // timed out: rescan siblings
-		}
-		ev, ok := sl.queue.Pop()
-		return ev, ok, false
-	}
-}
-
-// trySteal scans the sibling shards (starting just past this one, so thieves
-// spread over victims) and steals at most one pending WriteNotification from
-// the first whose queue backlog exceeds the steal threshold. Only writes are
-// stealable: EndIteration/signal/exit events must stay on the owner shard so
-// per-client completion order is preserved. The pending registration inside
-// StealPop's accept callback happens under the victim queue's lock, before
-// the victim can pop past the stolen event — a flush of that iteration then
-// waits for the thief to finish applying it.
-func (s *Server) trySteal(sl *shardLoop) (event.Event, bool) {
-	n := len(s.shards)
-	tally := sl.eng.Tally()
-	for off := 1; off < n; off++ {
-		sib := s.shards[(sl.idx+off)%n]
-		if sib.queue.Len() <= sl.steal {
-			continue
-		}
-		ev, ok := sib.queue.StealPop(func(ev event.Event) bool {
-			if ev.Kind != event.WriteNotification {
-				return false
-			}
-			tally.AddPending(ev.Iteration)
-			return true
-		})
-		if !ok {
-			continue
-		}
-		sl.mu.Lock()
-		sl.steals++
-		sl.mu.Unlock()
-		sib.mu.Lock()
-		sib.stolen++
-		sib.mu.Unlock()
-		return ev, true
-	}
-	return event.Event{}, false
 }
 
 // shardStats snapshots every shard loop's counters, busy time (from the
@@ -229,11 +148,7 @@ func (s *Server) shardStats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
 	for i, sl := range s.shards {
 		sl.mu.Lock()
-		st := ShardStat{
-			Events: sl.events,
-			Steals: sl.steals,
-			Stolen: sl.stolen,
-		}
+		st := ShardStat{Events: sl.events}
 		sl.mu.Unlock()
 		st.QueueLen = sl.queue.Len()
 		if i < len(busy) {

@@ -57,8 +57,8 @@ func TestEffectiveShards(t *testing.T) {
 
 // The tentpole invariant: sharding the event loop may only change *when*
 // work overlaps, never output bytes. Every shard count x persist-worker
-// count x stealing setting must leave a DSF directory byte-identical to the
-// pre-sharding classic loop.
+// count must leave a DSF directory byte-identical to the pre-sharding
+// classic loop.
 func TestShardedOutputByteIdentical(t *testing.T) {
 	const iters = 10
 	run := func(workers int, shardsXML string) map[string][]byte {
@@ -86,8 +86,6 @@ func TestShardedOutputByteIdentical(t *testing.T) {
 			`<shards count="1"/>`,
 			`<shards count="2"/>`,
 			`<shards count="4"/>`,
-			`<shards count="2" steal="0"/>`,
-			`<shards count="4" steal="1"/>`,
 		} {
 			variant := run(workers, shardsXML)
 			if len(variant) != len(ref) {
@@ -110,7 +108,7 @@ func TestShardedOutputByteIdentical(t *testing.T) {
 
 // slowFailPersister persists into memory with an injected per-iteration
 // delay and deterministic failures — backlog plus faults, the combination
-// the steal path must survive.
+// the sharded event loops must survive.
 type slowFailPersister struct {
 	mem      MemPersister
 	delay    time.Duration
@@ -127,18 +125,18 @@ func (p *slowFailPersister) Persist(it int64, entries []*metadata.Entry) error {
 	return p.mem.Persist(it, entries)
 }
 
-// Work stealing racing injected persist failures, under -race in CI: a slow
-// failing synchronous persister blocks the flushing shard, siblings steal
-// from its backed-up queue, and every client event must still be handled
-// exactly once with all surviving iterations complete in the store.
-func TestShardStealsRacePersistFailures(t *testing.T) {
+// Several shard loops over the synchronous baseline with injected persist
+// failures, under -race in CI: a slow failing persister runs inside the
+// shard loop that won the flush ticket, backing up that shard's queue while
+// its siblings keep handling their own clients. Every client event must
+// still be handled exactly once, Run must return the persist error, and
+// all surviving iterations must be complete in the store.
+func TestShardsSyncPersistFailures(t *testing.T) {
 	boom := errors.New("injected persist failure")
 	pers := &slowFailPersister{delay: 2 * time.Millisecond, boom: boom}
-	// Synchronous baseline (workers=0): the flush runs inside the shard
-	// loop that won the ticket, so a slow persist reliably backs up that
-	// shard's queue while its siblings idle — the steal trigger. steal="1"
-	// makes any backlog at all stealable.
-	cfg := shardCfg(t, 0, 1, `<shards count="4" steal="1"/>`)
+	// Synchronous baseline (workers=0): the flush persists on the event
+	// loop through the pipeline's writerless path.
+	cfg := shardCfg(t, 0, 1, `<shards count="4"/>`)
 	const iters = 40
 
 	var srv *Server
@@ -183,7 +181,7 @@ func TestShardStealsRacePersistFailures(t *testing.T) {
 		events += sh.Events
 	}
 	// 3 clients x (2 writes + 1 end) x iters + 3 exits: every event handled
-	// exactly once, wherever it was handled.
+	// exactly once.
 	if want := int64(3*(2+1))*iters + 3; events != want {
 		t.Fatalf("shards handled %d events, want %d", events, want)
 	}
@@ -191,8 +189,8 @@ func TestShardStealsRacePersistFailures(t *testing.T) {
 		t.Fatal("no persist failure ever injected")
 	}
 	// Every iteration that survived its persist is complete: both variables
-	// from all 3 clients (a stolen write that was lost or double-applied
-	// would break this).
+	// from all 3 clients (a write that was lost or double-applied would
+	// break this).
 	for it := int64(0); it < iters; it++ {
 		if it%7 == 3 {
 			continue

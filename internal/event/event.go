@@ -11,7 +11,6 @@ package event
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"damaris/internal/config"
 	"damaris/internal/layout"
@@ -60,7 +59,6 @@ type Event struct {
 	Block     *shm.Block    // payload handle for write-notifications
 	Layout    layout.Layout // dataset layout (may be zero if static/config)
 	Global    layout.Block  // position in the global domain (optional)
-	Seq       int64         // queue push order (assigned by Push); versions same-tuple overwrites
 }
 
 // Queue is an unbounded multi-producer single-consumer FIFO with blocking
@@ -90,7 +88,6 @@ func (q *Queue) Push(e Event) {
 		panic("event: Push on closed queue")
 	}
 	q.pushed++
-	e.Seq = q.pushed
 	q.items = append(q.items, e)
 	q.mu.Unlock()
 	q.cond.Signal()
@@ -120,47 +117,6 @@ func (q *Queue) TryPop() (e Event, ok bool) {
 		return Event{}, false
 	}
 	e = q.items[0]
-	q.items = q.items[1:]
-	return e, true
-}
-
-// PopWait blocks like Pop but gives up after d: ok reports an event was
-// returned, closed reports the queue is closed and drained. ok=false with
-// closed=false means the wait timed out — shard loops use this to
-// periodically scan sibling queues for work to steal while idle.
-func (q *Queue) PopWait(d time.Duration) (e Event, ok, closed bool) {
-	deadline := time.Now().Add(d)
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return Event{}, false, false
-		}
-		t := time.AfterFunc(remain, q.cond.Broadcast)
-		q.cond.Wait()
-		t.Stop()
-	}
-	if len(q.items) == 0 {
-		return Event{}, false, true
-	}
-	e = q.items[0]
-	q.items = q.items[1:]
-	return e, true, false
-}
-
-// StealPop removes and returns the head event if accept approves it. The
-// accept callback runs under the queue lock, so any bookkeeping it performs
-// (registering the stolen event as pending) is visible before the owning
-// shard can pop the events that followed. Used by idle shard loops to take
-// work from a backlogged sibling.
-func (q *Queue) StealPop(accept func(Event) bool) (Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 || !accept(q.items[0]) {
-		return Event{}, false
-	}
-	e := q.items[0]
 	q.items = q.items[1:]
 	return e, true
 }
@@ -263,10 +219,6 @@ func NewShardEngine(cfg *config.Config, reg *plugin.Registry, store *metadata.St
 // Store exposes the engine's metadata catalog.
 func (e *Engine) Store() *metadata.Store { return e.store }
 
-// Tally exposes the engine's shared completion tracker (used by shard loops
-// to register stolen writes).
-func (e *Engine) Tally() *Tally { return e.tally }
-
 // Context returns the plugin context (for inspection in tests and tools).
 func (e *Engine) Context() *plugin.Context { return &e.ctx }
 
@@ -315,7 +267,6 @@ func (e *Engine) handleWrite(ev Event) error {
 		Layout: lay,
 		Block:  ev.Block,
 		Global: ev.Global,
-		Seq:    ev.Seq,
 	})
 }
 
@@ -349,9 +300,8 @@ func (e *Engine) handleEnd(ev Event) error {
 		return nil
 	}
 	// Rendezvous: wait for our flush turn (tickets are issued in iteration
-	// completion order, so per-epoch emission stays strictly ascending) and
-	// for any stolen writes of this iteration to finish applying.
-	e.tally.awaitFlush(ticket, ev.Iteration)
+	// completion order, so per-epoch emission stays strictly ascending).
+	e.tally.awaitFlush(ticket)
 	defer e.tally.flushDone()
 	if e.OnIterationEnd != nil {
 		return e.OnIterationEnd(ev.Iteration)

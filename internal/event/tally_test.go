@@ -30,14 +30,14 @@ func TestTallyTicketsSerializeFlushes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ta.awaitFlush(t1, 1)
+		ta.awaitFlush(t1)
 		mu.Lock()
 		order = append(order, 1)
 		mu.Unlock()
 		ta.flushDone()
 	}()
 	time.Sleep(5 * time.Millisecond) // give the late ticket a head start
-	ta.awaitFlush(t0, 0)
+	ta.awaitFlush(t0)
 	mu.Lock()
 	order = append(order, 0)
 	mu.Unlock()
@@ -46,32 +46,6 @@ func TestTallyTicketsSerializeFlushes(t *testing.T) {
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("flush order = %v, want [0 1]", order)
 	}
-}
-
-func TestTallyFlushWaitsForPendingSteals(t *testing.T) {
-	ta := NewTally(1)
-	ta.AddPending(5)
-	ticket, fire := ta.endIteration(5)
-	if !fire {
-		t.Fatal("single-client end should fire")
-	}
-	flushed := make(chan struct{})
-	go func() {
-		ta.awaitFlush(ticket, 5)
-		close(flushed)
-	}()
-	select {
-	case <-flushed:
-		t.Fatal("flush ran while a stolen write was still pending")
-	case <-time.After(10 * time.Millisecond):
-	}
-	ta.DonePending(5)
-	select {
-	case <-flushed:
-	case <-time.After(time.Second):
-		t.Fatal("flush did not run after DonePending")
-	}
-	ta.flushDone()
 }
 
 func TestTallySignalAndExitCounts(t *testing.T) {
@@ -92,49 +66,5 @@ func TestTallySignalAndExitCounts(t *testing.T) {
 	}
 	if !ta.clientExit() {
 		t.Fatal("last exit did not fire")
-	}
-}
-
-func TestQueuePopWaitAndStealPop(t *testing.T) {
-	q := NewQueue()
-	if _, ok, closed := q.PopWait(time.Millisecond); ok || closed {
-		t.Fatal("PopWait on an empty open queue should time out")
-	}
-	q.Push(Event{Kind: WriteNotification, Iteration: 1})
-	q.Push(Event{Kind: EndIteration, Iteration: 1})
-	if ev, ok, _ := q.PopWait(time.Second); !ok || ev.Kind != WriteNotification {
-		t.Fatal("PopWait did not return the head")
-	}
-	// StealPop only takes the head when the accept callback approves; an
-	// EndIteration head blocks stealing entirely (order events are pinned).
-	if _, ok := q.StealPop(func(ev Event) bool { return ev.Kind == WriteNotification }); ok {
-		t.Fatal("stole a non-write head")
-	}
-	q.Push(Event{Kind: WriteNotification, Iteration: 1, Source: 3})
-	if ev, ok := q.StealPop(func(ev Event) bool { return false }); ok {
-		t.Fatalf("accept=false still stole %v", ev)
-	}
-	if ev, ok := q.StealPop(func(ev Event) bool { return true }); !ok || ev.Kind != EndIteration {
-		t.Fatal("StealPop did not take the approved head")
-	}
-	q.Close()
-	// The write pushed behind the stolen head is still there — a closed
-	// queue drains before reporting closed.
-	if ev, ok, _ := q.PopWait(time.Second); !ok || ev.Source != 3 {
-		t.Fatal("PopWait did not drain the closed queue")
-	}
-	if _, ok, closed := q.PopWait(time.Millisecond); ok || !closed {
-		t.Fatal("PopWait on a closed drained queue should report closed")
-	}
-}
-
-func TestQueueAssignsMonotoneSeq(t *testing.T) {
-	q := NewQueue()
-	q.Push(Event{Kind: WriteNotification})
-	q.Push(Event{Kind: WriteNotification})
-	a, _ := q.TryPop()
-	b, _ := q.TryPop()
-	if a.Seq == 0 || b.Seq != a.Seq+1 {
-		t.Fatalf("Seq not monotone: %d then %d", a.Seq, b.Seq)
 	}
 }

@@ -294,7 +294,7 @@ func TestDedupeHitRefreshesBlobAge(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := payload(1024, 5)
-	part, err := s.uploadPart(data)
+	part, err := s.uploadPart(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestDedupeHitRefreshesBlobAge(t *testing.T) {
 		t.Fatalf("aged part not reclaimable: %+v", rep)
 	}
 	// The dedupe hit of a new writer makes it young again.
-	if _, err := s.uploadPart(data); err != nil {
+	if _, err := s.uploadPart(data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.DedupeHits != 1 {

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -52,9 +53,17 @@ import (
 // to the next target, first success wins. The "cancel" of the losing
 // attempt is idempotence, not interruption: content addressing and
 // write-temp-then-rename make a straggler that completes later land the
-// exact same bytes, so nobody waits for it. Reads (Get/Stat/Manifest/Open)
+// exact same bytes, so no writer waits for it. Reads (Get/Stat/Manifest/Open)
 // fall back across targets in order, so an object whose parts were hedged
 // onto a replica stays fully readable. GC sweeps the primary only.
+//
+// # Detached attempts
+//
+// A timed-out put attempt and a losing hedge keep running after their
+// caller moved on (a hung target cannot be interrupted). The store owns
+// them: each holds a reference on the part buffer it reads, so the buffer
+// is recycled only after the last attempt returns, and Close joins them and
+// removes the temp files they left.
 type ObjStore struct {
 	root        string
 	partSize    int64
@@ -70,9 +79,16 @@ type ObjStore struct {
 	// sem bounds the parts concurrently uploading (or buffered awaiting a
 	// worker slot) across all of this backend's ObjectWriters.
 	sem chan struct{}
-	// partBufs recycles part-sized buffers between uploads so steady-state
-	// multipart writes allocate nothing per part.
+	// partBufs recycles part-sized buffers (*partBuf) between uploads so
+	// steady-state multipart writes allocate nothing per part.
 	partBufs sync.Pool
+
+	// attempts counts put attempts running detached from their caller;
+	// Close waits for them. tmps holds this instance's temp files not yet
+	// renamed into place (guarded by tmpMu); Close removes the ones left.
+	attempts sync.WaitGroup
+	tmpMu    sync.Mutex
+	tmps     map[string]struct{}
 
 	// latMu guards the put-latency reservoir the hedge trigger is computed
 	// from and the jitter source for retry backoff.
@@ -81,6 +97,45 @@ type ObjStore struct {
 	latN    int         // total samples ever recorded
 	jitter  *rand.Rand
 	scratch []float64 // reusable sort buffer for the percentile
+}
+
+// partBuf is one pooled part buffer, shared by every put attempt that reads
+// it. The writer holds the first reference; each detached attempt takes
+// another; the buffer returns to the pool when the last one is released.
+type partBuf struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+// getPartBuf takes an empty part buffer from the pool, referenced once.
+func (s *ObjStore) getPartBuf() *partBuf {
+	pb := s.partBufs.Get().(*partBuf)
+	pb.b = pb.b[:0]
+	pb.refs.Store(1)
+	return pb
+}
+
+// releasePartBuf drops one reference (nil = caller-owned data, nothing to
+// do) and recycles the buffer when it was the last.
+func (s *ObjStore) releasePartBuf(pb *partBuf) {
+	if pb != nil && pb.refs.Add(-1) == 0 {
+		s.partBufs.Put(pb)
+	}
+}
+
+// detach runs fn on a goroutine the store owns: Close waits for it, and the
+// part buffer fn reads (nil when it reads none) stays out of the pool until
+// fn returns.
+func (s *ObjStore) detach(pb *partBuf, fn func()) {
+	if pb != nil {
+		pb.refs.Add(1)
+	}
+	s.attempts.Add(1)
+	go func() {
+		defer s.attempts.Done()
+		defer s.releasePartBuf(pb)
+		fn()
+	}()
 }
 
 // objTarget is one replica storage root with its own injected fault.
@@ -122,6 +177,7 @@ func NewObjStore(dir string, opts Options) (*ObjStore, error) {
 		fault:       opts.Fault,
 		metrics:     metrics{scheme: "obj"},
 		sem:         make(chan struct{}, opts.PutWorkers),
+		tmps:        make(map[string]struct{}),
 		// Jitter only spreads retry backoff in time; a fixed seed keeps runs
 		// reproducible and output bytes never depend on it.
 		jitter: rand.New(rand.NewSource(1)),
@@ -134,8 +190,7 @@ func NewObjStore(dir string, opts Options) (*ObjStore, error) {
 		s.replicas = append(s.replicas, t)
 	}
 	s.partBufs.New = func() any {
-		b := make([]byte, 0, s.partSize)
-		return &b
+		return &partBuf{b: make([]byte, 0, s.partSize)}
 	}
 	return s, nil
 }
@@ -195,6 +250,9 @@ func casBlobName(sum [sha256.Size]byte) string {
 // blob's rename must never surface zero-filled part bytes.
 func (s *ObjStore) writeTempAndRename(ti int, op string, name string, dst string, data []byte) error {
 	tmp := s.tmpPathAt(ti)
+	s.tmpMu.Lock()
+	s.tmps[tmp] = struct{}{}
+	s.tmpMu.Unlock()
 	if err := writeFileSync(tmp, data); err != nil {
 		return fmt.Errorf("store: %s %q: %w", op, name, err)
 	}
@@ -207,21 +265,24 @@ func (s *ObjStore) writeTempAndRename(ti int, op string, name string, dst string
 	if err := os.Rename(tmp, dst); err != nil {
 		return fmt.Errorf("store: %s %q: %w", op, name, err)
 	}
+	s.tmpMu.Lock()
+	delete(s.tmps, tmp)
+	s.tmpMu.Unlock()
 	return nil
 }
 
 // withPutTimeout runs one write attempt under the per-put deadline. On
-// deadline the attempt keeps running in the background (a hung fault or
-// filesystem cannot be interrupted) and the caller gets a retryable
+// deadline the attempt keeps running detached (a hung fault or filesystem
+// cannot be interrupted), holding pb, and the caller gets a retryable
 // ErrPutTimeout; if the stray attempt lands its blob later, the retry's
 // content-addressed dedupe probe discovers it. Without a configured
 // deadline this is a plain call — no goroutine per put.
-func (s *ObjStore) withPutTimeout(fn func() error) error {
+func (s *ObjStore) withPutTimeout(pb *partBuf, fn func() error) error {
 	if s.putTimeout <= 0 {
 		return fn()
 	}
 	done := make(chan error, 1)
-	go func() { done <- fn() }()
+	s.detach(pb, func() { done <- fn() })
 	t := time.NewTimer(s.putTimeout)
 	defer t.Stop()
 	select {
@@ -234,14 +295,15 @@ func (s *ObjStore) withPutTimeout(fn func() error) error {
 }
 
 // putAt stores one immutable blob on target ti, under the per-put deadline.
-func (s *ObjStore) putAt(ti int, name string, data []byte) error {
+// pb is the pooled buffer data lives in (nil = caller-owned data).
+func (s *ObjStore) putAt(ti int, name string, data []byte, pb *partBuf) error {
 	if err := validName(name); err != nil {
 		return err
 	}
 	// The timer starts before the fault hook on purpose: injected latency
 	// models the storage target, so it belongs in PutLatency.
 	start := time.Now()
-	err := s.withPutTimeout(func() error {
+	err := s.withPutTimeout(pb, func() error {
 		if err := opFault(s.faultAt(ti), OpPut, name); err != nil {
 			return err
 		}
@@ -260,8 +322,15 @@ func (s *ObjStore) putAt(ti int, name string, data []byte) error {
 // Put stores one immutable blob on the primary target. Re-putting an
 // existing name is legal only with identical bytes (content-addressed
 // callers get that by construction); the rename makes the operation
-// idempotent either way.
-func (s *ObjStore) Put(name string, data []byte) error { return s.putAt(0, name, data) }
+// idempotent either way. The caller may reuse data once Put returns.
+func (s *ObjStore) Put(name string, data []byte) error {
+	if s.putTimeout > 0 {
+		// A timed-out attempt keeps reading after Put returns: give it a
+		// private copy.
+		data = append([]byte(nil), data...)
+	}
+	return s.putAt(0, name, data, nil)
+}
 
 // observePutLatency feeds the hedge trigger's latency reservoir.
 func (s *ObjStore) observePutLatency(sec float64) {
@@ -303,8 +372,9 @@ func (s *ObjStore) hedgeDelay() time.Duration {
 // (or fails outright), escalates to do(1), do(2), … — first success wins.
 // Losing attempts are abandoned, not interrupted: idempotent writes make a
 // straggler that finishes later land identical bytes, so nothing waits for
-// it. With no replicas this is a plain primary call.
-func (s *ObjStore) hedged(do func(ti int) error) error {
+// it but Close; each holds pb (the buffer do reads, nil for none) until it
+// returns. With no replicas this is a plain primary call.
+func (s *ObjStore) hedged(pb *partBuf, do func(ti int) error) error {
 	n := s.targets()
 	if n == 1 {
 		return do(0)
@@ -315,7 +385,7 @@ func (s *ObjStore) hedged(do func(ti int) error) error {
 	}
 	ch := make(chan res, n) // buffered: abandoned attempts never block
 	launch := func(ti int) {
-		go func() { ch <- res{ti, do(ti)} }()
+		s.detach(pb, func() { ch <- res{ti, do(ti)} })
 	}
 	launch(0)
 	launched, pending := 1, 1
@@ -508,9 +578,7 @@ func (s *ObjStore) Create(object string) (ObjectWriter, error) {
 	if err := validName(object); err != nil {
 		return nil, err
 	}
-	buf := s.partBufs.Get().(*[]byte)
-	*buf = (*buf)[:0]
-	return &objWriter{s: s, object: object, buf: buf}, nil
+	return &objWriter{s: s, object: object, buf: s.getPartBuf()}, nil
 }
 
 // objWriter accumulates partSize bytes at a time and hands full parts to
@@ -520,7 +588,7 @@ func (s *ObjStore) Create(object string) (ObjectWriter, error) {
 type objWriter struct {
 	s      *ObjStore
 	object string
-	buf    *[]byte
+	buf    *partBuf
 	size   int64
 	nparts int
 	wg     sync.WaitGroup
@@ -554,16 +622,16 @@ func (w *objWriter) Write(p []byte) (int, error) {
 	}
 	written := 0
 	for len(p) > 0 {
-		room := int(w.s.partSize) - len(*w.buf)
+		room := int(w.s.partSize) - len(w.buf.b)
 		n := len(p)
 		if n > room {
 			n = room
 		}
-		*w.buf = append(*w.buf, p[:n]...)
+		w.buf.b = append(w.buf.b, p[:n]...)
 		p = p[n:]
 		written += n
 		w.size += int64(n)
-		if int64(len(*w.buf)) == w.s.partSize {
+		if int64(len(w.buf.b)) == w.s.partSize {
 			w.dispatchPart()
 		}
 	}
@@ -572,7 +640,8 @@ func (w *objWriter) Write(p []byte) (int, error) {
 
 // dispatchPart hands the current buffer to the upload pool and starts a
 // fresh one. It blocks on the pool semaphore — the multipart backpressure
-// point.
+// point. The upload releases the writer's reference on the buffer; attempts
+// it left running hold their own.
 func (w *objWriter) dispatchPart() {
 	buf := w.buf
 	idx := w.nparts
@@ -588,11 +657,10 @@ func (w *objWriter) dispatchPart() {
 		defer func() {
 			<-w.s.sem
 			w.s.metrics.partEnd()
-			*buf = (*buf)[:0]
-			w.s.partBufs.Put(buf)
+			w.s.releasePartBuf(buf)
 			w.wg.Done()
 		}()
-		part, err := w.s.uploadPart(*buf)
+		part, err := w.s.uploadPart(buf.b, buf)
 		if err != nil {
 			w.setErr(fmt.Errorf("store: object %q part %d: %w", w.object, idx, err))
 			return
@@ -602,9 +670,7 @@ func (w *objWriter) dispatchPart() {
 		w.mu.Unlock()
 	}()
 
-	next := w.s.partBufs.Get().(*[]byte)
-	*next = (*next)[:0]
-	w.buf = next
+	w.buf = w.s.getPartBuf()
 }
 
 // Retry backoff bounds: capped exponential starting at the base, with full
@@ -638,8 +704,8 @@ func (s *ObjStore) backoffBeforeAttempt(attempt int) {
 // blob already exists is a dedupe hit (skip the upload entirely); otherwise
 // put it — hedged across replica targets when configured — retrying
 // transient failures with backoff, idempotent because the name is the
-// content.
-func (s *ObjStore) uploadPart(data []byte) (Part, error) {
+// content. pb is the pooled buffer data lives in (nil = caller-owned).
+func (s *ObjStore) uploadPart(data []byte, pb *partBuf) (Part, error) {
 	sum := sha256.Sum256(data)
 	part := Part{
 		Blob:   casBlobName(sum),
@@ -663,7 +729,7 @@ func (s *ObjStore) uploadPart(data []byte) (Part, error) {
 				return part, nil
 			}
 		}
-		if lastErr = s.hedged(func(ti int) error { return s.putAt(ti, part.Blob, data) }); lastErr == nil {
+		if lastErr = s.hedged(pb, func(ti int) error { return s.putAt(ti, part.Blob, data, pb) }); lastErr == nil {
 			return part, nil
 		}
 	}
@@ -687,12 +753,11 @@ func (w *objWriter) Commit() (*Manifest, error) {
 		return nil, fmt.Errorf("store: object %q already finished", w.object)
 	}
 	w.done = true
-	if len(*w.buf) > 0 {
+	if len(w.buf.b) > 0 {
 		w.dispatchPart()
 	}
 	// Release the final buffer and wait for every in-flight part.
-	*w.buf = (*w.buf)[:0]
-	w.s.partBufs.Put(w.buf)
+	w.s.releasePartBuf(w.buf)
 	w.buf = nil
 	w.wg.Wait()
 	if err := w.err(); err != nil {
@@ -711,8 +776,7 @@ func (w *objWriter) Abort() error {
 	}
 	w.done = true
 	if w.buf != nil {
-		*w.buf = (*w.buf)[:0]
-		w.s.partBufs.Put(w.buf)
+		w.s.releasePartBuf(w.buf)
 		w.buf = nil
 	}
 	w.wg.Wait()
@@ -735,7 +799,7 @@ func (s *ObjStore) partDurable(p Part) bool {
 
 // commitAt lands one manifest on target ti, under the per-put deadline.
 func (s *ObjStore) commitAt(ti int, object string, enc []byte) error {
-	return s.withPutTimeout(func() error {
+	return s.withPutTimeout(nil, func() error {
 		if err := opFault(s.faultAt(ti), OpCommit, object); err != nil {
 			return err
 		}
@@ -765,7 +829,7 @@ func (s *ObjStore) Commit(m *Manifest) error {
 		return fmt.Errorf("store: commit %q: %w", m.Object, err)
 	}
 	enc = append(enc, '\n')
-	if err := s.hedged(func(ti int) error { return s.commitAt(ti, m.Object, enc) }); err != nil {
+	if err := s.hedged(nil, func(ti int) error { return s.commitAt(ti, m.Object, enc) }); err != nil {
 		s.metrics.recordFailure()
 		return err
 	}
@@ -1084,6 +1148,21 @@ func (r *objReader) ReadAt(p []byte, off int64) (int, error) {
 // Stats snapshots the backend metrics.
 func (s *ObjStore) Stats() Stats { return s.metrics.snapshot() }
 
-// Close is a no-op today; the interface keeps it for backends with real
-// connections to tear down.
-func (s *ObjStore) Close() error { return nil }
+// Close waits for every put attempt still running detached from its caller
+// (timed out, or a losing hedge), then removes the temp files this instance
+// left behind unrenamed. The store's owner calls it once no writer is
+// active; an attempt stuck in a hung target delays it until the target
+// answers.
+func (s *ObjStore) Close() error {
+	s.attempts.Wait()
+	s.tmpMu.Lock()
+	defer s.tmpMu.Unlock()
+	var firstErr error
+	for tmp := range s.tmps {
+		if err := os.Remove(tmp); err != nil && !os.IsNotExist(err) && firstErr == nil {
+			firstErr = fmt.Errorf("store: close: %w", err)
+		}
+		delete(s.tmps, tmp)
+	}
+	return firstErr
+}

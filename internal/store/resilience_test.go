@@ -2,17 +2,23 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"damaris/internal/leakcheck"
 )
 
 // The brownout ramp must be zero outside its window and triangular inside:
 // half intensity a quarter of the way in, peak at the midpoint, half again
 // at three quarters.
 func TestBrownoutFactorRamp(t *testing.T) {
+	leakcheck.Check(t)
 	start := time.Unix(1000, 0)
 	b := Brownout(start, 100*time.Second, time.Millisecond, 0.5).(*brownout)
 	cases := []struct {
@@ -37,6 +43,7 @@ func TestBrownoutFactorRamp(t *testing.T) {
 // At peak intensity with a 50% error rate, the deterministic accumulator
 // must fail exactly every second call — evenly spaced, never back to back.
 func TestBrownoutErrorsDeterministic(t *testing.T) {
+	leakcheck.Check(t)
 	start := time.Unix(1000, 0)
 	b := Brownout(start, 100*time.Second, 0, 0.5, OpPut).(*brownout)
 	mid := start.Add(50 * time.Second)
@@ -67,6 +74,7 @@ func TestBrownoutErrorsDeterministic(t *testing.T) {
 
 // Retries after transient put failures must take counted backoff waits.
 func TestUploadRetryBackoffCounted(t *testing.T) {
+	leakcheck.Check(t)
 	s, err := NewObjStore(t.TempDir(), Options{
 		PartSize:    64,
 		PutAttempts: 5,
@@ -97,7 +105,9 @@ func TestUploadRetryBackoffCounted(t *testing.T) {
 	}
 }
 
-// hang is a fault that blocks matching ops forever (until the test ends).
+// hang is a fault that blocks matching ops until done is closed. A test
+// using it closes done and then the store, which joins the released
+// attempts.
 func hang(done <-chan struct{}, ops ...string) Fault {
 	match := map[string]bool{}
 	for _, op := range ops {
@@ -114,8 +124,8 @@ func hang(done <-chan struct{}, ops ...string) Fault {
 // A hung target must convert to a retryable ErrPutTimeout at the per-put
 // deadline instead of stalling the writer forever.
 func TestPutTimeoutConvertsHangToError(t *testing.T) {
+	leakcheck.Check(t)
 	done := make(chan struct{})
-	defer close(done)
 	s, err := NewObjStore(t.TempDir(), Options{
 		PartSize:   64,
 		PutTimeout: 20 * time.Millisecond,
@@ -124,6 +134,10 @@ func TestPutTimeoutConvertsHangToError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		close(done)
+		s.Close()
+	}()
 	err = s.Put("cas/sha256/aa", []byte("payload"))
 	if !errors.Is(err, ErrPutTimeout) {
 		t.Fatalf("put against hung target: got %v, want ErrPutTimeout", err)
@@ -137,8 +151,8 @@ func TestPutTimeoutConvertsHangToError(t *testing.T) {
 // uploads (and the commit) completing, the hedge win must be counted, and
 // the object must remain fully readable through replica fallback.
 func TestHedgedPutWinsOverHungPrimary(t *testing.T) {
+	leakcheck.Check(t)
 	done := make(chan struct{})
-	defer close(done)
 	primary := t.TempDir()
 	replica := filepath.Join(t.TempDir(), "replica")
 	s, err := NewObjStore(primary, Options{
@@ -150,6 +164,10 @@ func TestHedgedPutWinsOverHungPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		close(done)
+		s.Close()
+	}()
 	payload := bytes.Repeat([]byte("xyz"), 100)
 	w, err := s.Create("obj")
 	if err != nil {
@@ -195,8 +213,8 @@ func TestHedgedPutWinsOverHungPrimary(t *testing.T) {
 // exists on the replica — the Stat fallback is what makes hedged retries
 // idempotent.
 func TestDedupeProbesReplica(t *testing.T) {
+	leakcheck.Check(t)
 	done := make(chan struct{})
-	defer close(done)
 	replica := t.TempDir()
 	s, err := NewObjStore(t.TempDir(), Options{
 		PartSize:   64,
@@ -207,6 +225,10 @@ func TestDedupeProbesReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		close(done)
+		s.Close()
+	}()
 	payload := bytes.Repeat([]byte("q"), 64)
 	for i := 0; i < 2; i++ {
 		w, err := s.Create(fmt.Sprintf("obj%d", i))
@@ -228,6 +250,7 @@ func TestDedupeProbesReplica(t *testing.T) {
 
 // ValidateURL must accept the new resilience parameters and reject bad ones.
 func TestResilienceURLParams(t *testing.T) {
+	leakcheck.Check(t)
 	good := "obj://data?put_timeout=500&replica=/tmp/r1&replica=/tmp/r2&hedge_ms=30&hedge_pct=99"
 	if err := ValidateURL(good); err != nil {
 		t.Fatalf("ValidateURL(%q): %v", good, err)
@@ -241,5 +264,63 @@ func TestResilienceURLParams(t *testing.T) {
 		if err := ValidateURL(bad); err == nil {
 			t.Errorf("ValidateURL(%q) passed, want error", bad)
 		}
+	}
+}
+
+// A put deadline shorter than the target's latency abandons every attempt
+// while it is still due to read its part buffer, and the writer keeps
+// filling fresh parts meanwhile. Each abandoned attempt must still write
+// its own part's bytes: once Close has joined them, every blob hashes to
+// its own content address and no temp file is left.
+func TestTimedOutPutsKeepTheirPartBytes(t *testing.T) {
+	leakcheck.Check(t)
+	const partSize, parts = 64, 8
+	dir := t.TempDir()
+	s, err := NewObjStore(dir, Options{
+		PartSize:    partSize,
+		PutWorkers:  1,
+		PutAttempts: 1,
+		PutTimeout:  5 * time.Millisecond,
+		Fault:       Latency(30*time.Millisecond, OpPut),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, parts*partSize)
+	for i := range data {
+		data[i] = byte(i / partSize) // every part distinct
+	}
+	w, err := s.Create("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, werr := w.Write(data)
+	_, cerr := w.Commit()
+	if werr == nil && cerr == nil {
+		t.Fatal("object committed although every put timed out")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	blobDir := filepath.Join(dir, "blobs", "cas", "sha256")
+	blobs, err := os.ReadDir(blobDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blobs) != parts {
+		t.Fatalf("%d blobs after Close, want %d (one per abandoned attempt)", len(blobs), parts)
+	}
+	for _, b := range blobs {
+		got, err := os.ReadFile(filepath.Join(blobDir, b.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != b.Name() {
+			t.Errorf("blob %s holds bytes hashing to %x", b.Name(), sum)
+		}
+	}
+	if tmps, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(tmps) != 0 {
+		t.Errorf("tmp/ after Close = %d files (err %v), want empty", len(tmps), err)
 	}
 }
