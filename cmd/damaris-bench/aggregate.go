@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -18,39 +17,21 @@ import (
 	"damaris/internal/store"
 )
 
-// aggBenchResult is one row of BENCH_aggregate.json's real-path figures. Per
-// the repo's bench policy (single-CPU dev boxes), the tracked signals are
-// allocations and determinism, not parallel speedups.
-type aggBenchResult struct {
-	Name        string  `json:"name"`
-	Members     int     `json:"members"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	MBPerS      float64 `json:"mb_per_s"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// aggBenchChecks are the hard correctness assertions the bench doubles as a
-// regression gate for.
-type aggBenchChecks struct {
-	// DeterministicObjects: merged objects are byte-identical across fan-in
-	// arrival orders.
+// aggMetrics is the aggregate suite's report.
+type aggMetrics struct {
+	Benchmarks []benchRow `json:"benchmarks"`
+	// DeterministicObjects: merged objects are byte-identical across
+	// ArrivalOrders fan-in interleavings; OneObjectPerEpoch: each epoch
+	// commits exactly one object.
 	DeterministicObjects bool `json:"deterministic_objects"`
-	// OneObjectPerEpoch: each epoch commits exactly one object.
-	OneObjectPerEpoch bool `json:"one_object_per_epoch"`
-	// ArrivalOrders is how many distinct interleavings were compared.
-	ArrivalOrders int `json:"arrival_orders"`
-}
-
-// aggParity records the aggregation-off guard: with the tier disabled, the
-// persist path's allocation figure must sit within noise of what
-// BENCH_store.json recorded.
-type aggParity struct {
-	StoreAllocsPerOp int64   `json:"store_allocs_per_op"`
-	OffAllocsPerOp   int64   `json:"off_allocs_per_op"`
-	ToleranceFrac    float64 `json:"tolerance_frac"`
-	WithinNoise      bool    `json:"within_noise"`
-	Compared         bool    `json:"compared"` // false when BENCH_store.json was absent
+	OneObjectPerEpoch    bool `json:"one_object_per_epoch"`
+	ArrivalOrders        int  `json:"arrival_orders"`
+	// The aggregation-off guard: with the tier disabled, the persist path's
+	// allocations must sit within noise of the store suite's
+	// persist_filestore figure, measured here by the same call.
+	StoreAllocsPerOp int64         `json:"store_allocs_per_op"`
+	OffAllocsPerOp   int64         `json:"off_allocs_per_op"`
+	SimCurves        []aggSimCurve `json:"sim_curves"`
 }
 
 // aggSimCurve is one point of the aggregation-aware throughput curves over
@@ -74,43 +55,43 @@ func splitWorkload(members int) ([][]*metadata.Entry, int64) {
 	return out, total
 }
 
+// newCoreAggregator builds a core-mode aggregator over members 0..n-1 that
+// commits one node-0 object per epoch to backend.
+func newCoreAggregator(backend store.Backend, members int) (*aggregate.Aggregator, error) {
+	ids := make([]int, members)
+	for i := range ids {
+		ids[i] = i
+	}
+	return aggregate.New(aggregate.Config{
+		Mode:    "core",
+		Members: ids,
+		Sink: &aggregate.StoreSink{
+			Writer:     &core.DSFPersister{Backend: backend, Codec: dsf.None},
+			ObjectName: func(e int64) string { return fmt.Sprintf("node0000_it%06d.dsf", e%64) },
+			MemberAttr: "servers",
+			Mode:       "core",
+		},
+	})
+}
+
 // benchMerge measures one merged epoch end to end: every member submits its
 // contribution and the epoch commits through a file backend.
-func benchMerge(members int) (aggBenchResult, error) {
+func benchMerge(members int) (benchRow, error) {
 	parts, total := splitWorkload(members)
-	var setupErr error
-	r := testing.Benchmark(func(b *testing.B) {
+	return measure(fmt.Sprintf("aggregate_merge_m%d", members), total, func(b *testing.B) error {
 		dir, err := os.MkdirTemp("", "damaris-agg-bench")
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		defer os.RemoveAll(dir)
-		backend, err := store.NewFileStore(dir, store.Options{})
+		backend, err := openFileStore(dir)
 		if err != nil {
-			setupErr = err
-			b.Fatal(err)
+			return err
 		}
-		pers := &core.DSFPersister{Backend: backend, Codec: dsf.None}
-		ids := make([]int, members)
-		for i := range ids {
-			ids[i] = i
-		}
-		agg, err := aggregate.New(aggregate.Config{
-			Mode:    "core",
-			Members: ids,
-			Sink: &aggregate.StoreSink{
-				Writer:     pers,
-				ObjectName: func(e int64) string { return fmt.Sprintf("node0000_it%06d.dsf", e%64) },
-				MemberAttr: "servers",
-				Mode:       "core",
-			},
-		})
+		agg, err := newCoreAggregator(backend, members)
 		if err != nil {
-			setupErr = err
-			b.Fatal(err)
+			return err
 		}
-		b.SetBytes(total)
-		b.ReportAllocs()
 		b.ResetTimer()
 		chans := make([]<-chan error, members)
 		for i := 0; i < b.N; i++ {
@@ -119,187 +100,70 @@ func benchMerge(members int) (aggBenchResult, error) {
 			}
 			for _, ch := range chans {
 				if err := <-ch; err != nil {
-					b.Fatal(err)
+					return err
 				}
 			}
 		}
 		b.StopTimer()
-		for _, id := range ids {
-			agg.MemberDone(id)
-		}
-		if err := agg.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	if setupErr != nil {
-		return aggBenchResult{}, setupErr
-	}
-	return aggBenchResult{
-		Name:        fmt.Sprintf("aggregate_merge_m%d", members),
-		Members:     members,
-		NsPerOp:     r.NsPerOp(),
-		MBPerS:      float64(total) / 1e6 / (float64(r.NsPerOp()) / 1e9),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}, nil
-}
-
-// runAggChecks proves arrival-order determinism on the real merge path: the
-// same per-member contributions, submitted under different interleavings,
-// must commit byte-identical objects, exactly one per epoch.
-func runAggChecks() (aggBenchChecks, error) {
-	const members = 4
-	const epochs = 3
-	checks := aggBenchChecks{DeterministicObjects: true, OneObjectPerEpoch: true}
-	parts, _ := splitWorkload(members)
-
-	runOnce := func(order []int) (map[string][]byte, error) {
-		dir, err := os.MkdirTemp("", "damaris-agg-checks")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		backend, err := store.NewFileStore(dir, store.Options{})
-		if err != nil {
-			return nil, err
-		}
-		pers := &core.DSFPersister{Backend: backend, Codec: dsf.None}
-		ids := make([]int, members)
-		for i := range ids {
-			ids[i] = i
-		}
-		agg, err := aggregate.New(aggregate.Config{
-			Mode:    "core",
-			Members: ids,
-			Sink: &aggregate.StoreSink{
-				Writer:     pers,
-				ObjectName: func(e int64) string { return fmt.Sprintf("node0000_it%06d.dsf", e) },
-				MemberAttr: "servers",
-				Mode:       "core",
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Members run concurrently, released in the given order — the
-		// interleaving the fan-in ring actually sees varies with it.
-		starts := make([]chan struct{}, members)
-		for i := range starts {
-			starts[i] = make(chan struct{})
-		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
 		for m := 0; m < members; m++ {
-			wg.Add(1)
-			go func(m int) {
-				defer wg.Done()
-				<-starts[m]
-				for e := int64(0); e < epochs; e++ {
-					if err := <-agg.Submit(m, e, parts[m]); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-				agg.MemberDone(m)
-			}(m)
+			agg.MemberDone(m)
 		}
-		for _, m := range order {
-			close(starts[m])
-		}
-		wg.Wait()
-		if err := agg.Close(); err != nil {
-			return nil, err
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		objs, err := backend.Objects()
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[string][]byte, len(objs))
-		for _, o := range objs {
-			b, err := os.ReadFile(backend.Path(o.Name))
-			if err != nil {
-				return nil, err
-			}
-			out[o.Name] = b
-		}
-		return out, nil
-	}
-
-	orders := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}}
-	checks.ArrivalOrders = len(orders)
-	var ref map[string][]byte
-	for _, order := range orders {
-		objs, err := runOnce(order)
-		if err != nil {
-			return checks, err
-		}
-		if len(objs) != epochs {
-			checks.OneObjectPerEpoch = false
-		}
-		if ref == nil {
-			ref = objs
-			continue
-		}
-		for name, b := range ref {
-			if !bytes.Equal(objs[name], b) {
-				checks.DeterministicObjects = false
-			}
-		}
-	}
-	return checks, nil
+		return agg.Close()
+	})
 }
 
-// runAggParity re-measures the aggregation-off persist path and compares
-// its allocation figure against BENCH_store.json: turning the tier off must
-// leave the plain store path untouched.
-func runAggParity(storeReportPath string) (aggParity, error) {
-	p := aggParity{ToleranceFrac: 0.25}
-	off, err := benchPersist("persist_filestore_aggoff", func(dir string) (store.Backend, error) {
-		return store.NewFileStore(dir, store.Options{})
-	}, 0, 0)
+// mergeOnce submits epochs for every member concurrently, releasing the
+// members in the given order, and returns the committed objects. The
+// interleaving the fan-in ring sees varies with the order.
+func mergeOnce(parts [][]*metadata.Entry, epochs int64, order []int) (map[string][]byte, error) {
+	dir, err := os.MkdirTemp("", "damaris-agg-checks")
 	if err != nil {
-		return p, err
+		return nil, err
 	}
-	p.OffAllocsPerOp = off.AllocsPerOp
-
-	raw, err := os.ReadFile(storeReportPath)
+	defer os.RemoveAll(dir)
+	backend, err := openFileStore(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			// No baseline to compare against (store bench not run): report
-			// the figure without a verdict.
-			p.WithinNoise = true
-			return p, nil
-		}
-		return p, err
+		return nil, err
 	}
-	var rep struct {
-		Benchmarks []storeBenchResult `json:"benchmarks"`
+	agg, err := newCoreAggregator(backend, len(parts))
+	if err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return p, fmt.Errorf("parse %s: %w", storeReportPath, err)
+	starts := make([]chan struct{}, len(parts))
+	for i := range starts {
+		starts[i] = make(chan struct{})
 	}
-	for _, b := range rep.Benchmarks {
-		if b.Name == "persist_filestore" {
-			p.Compared = true
-			p.StoreAllocsPerOp = b.AllocsPerOp
-			diff := p.OffAllocsPerOp - b.AllocsPerOp
-			if diff < 0 {
-				diff = -diff
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var firstErr error
+	for m := range parts {
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			<-starts[m]
+			for e := int64(0); e < epochs; e++ {
+				if err := <-agg.Submit(m, e, parts[m]); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+				}
 			}
-			slack := int64(float64(b.AllocsPerOp)*p.ToleranceFrac) + 16
-			p.WithinNoise = diff <= slack
-			return p, nil
-		}
+			agg.MemberDone(m)
+		}(m)
 	}
-	p.WithinNoise = true // baseline row absent: nothing to compare
-	return p, nil
+	for _, m := range order {
+		close(starts[m])
+	}
+	wg.Wait()
+	if err := agg.Close(); err != nil {
+		return nil, err
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return readTree(dir)
 }
 
 // runAggSimCurves produces the aggregation-aware throughput curves over the
@@ -335,68 +199,64 @@ func runAggSimCurves() ([]aggSimCurve, error) {
 	return out, nil
 }
 
-// runAggregateBench benchmarks the aggregation layer, proves its
-// determinism, guards the aggregation-off store figures, simulates the
-// throughput curves, and writes BENCH_aggregate.json. Any failed check is
-// an error — the bench doubles as the regression gate.
-func runAggregateBench(outPath, storeReportPath string) error {
-	var results []aggBenchResult
+func measureAggregate() (aggMetrics, error) {
+	var m aggMetrics
 	for _, members := range []int{1, 2, 4} {
 		r, err := benchMerge(members)
 		if err != nil {
-			return err
+			return m, err
 		}
-		results = append(results, r)
-		fmt.Printf("%-24s %12d ns/op %8.1f MB/s %6d allocs/op\n",
-			r.Name, r.NsPerOp, r.MBPerS, r.AllocsPerOp)
+		m.Benchmarks = append(m.Benchmarks, r)
 	}
 
-	checks, err := runAggChecks()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("checks: deterministic_objects=%v one_object_per_epoch=%v over %d arrival orders\n",
-		checks.DeterministicObjects, checks.OneObjectPerEpoch, checks.ArrivalOrders)
-
-	parity, err := runAggParity(storeReportPath)
-	if err != nil {
-		return err
-	}
-	if parity.Compared {
-		fmt.Printf("parity: aggregate-off persist %d allocs/op vs BENCH_store %d (within %.0f%%: %v)\n",
-			parity.OffAllocsPerOp, parity.StoreAllocsPerOp, 100*parity.ToleranceFrac, parity.WithinNoise)
-	} else {
-		fmt.Printf("parity: aggregate-off persist %d allocs/op (no %s baseline to compare)\n",
-			parity.OffAllocsPerOp, storeReportPath)
-	}
-
-	curves, err := runAggSimCurves()
-	if err != nil {
-		return err
-	}
-	for _, c := range curves {
-		fmt.Printf("sim %-10s %-5s %6d cores: %8.2f GB/s apparent, %6.3fs client phase\n",
-			c.Platform, c.Mode, c.Cores, c.MeanBps/1e9, c.ClientSeconds)
+	// Arrival-order determinism on the real merge path: the same
+	// contributions under different interleavings must commit byte-identical
+	// objects, exactly one per epoch.
+	const epochs = 3
+	parts, _ := splitWorkload(4)
+	orders := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}}
+	m.ArrivalOrders = len(orders)
+	m.DeterministicObjects, m.OneObjectPerEpoch = true, true
+	var ref map[string][]byte
+	for _, order := range orders {
+		objs, err := mergeOnce(parts, epochs, order)
+		if err != nil {
+			return m, err
+		}
+		m.OneObjectPerEpoch = m.OneObjectPerEpoch && len(objs) == epochs
+		if ref == nil {
+			ref = objs
+		}
+		for name, b := range ref {
+			if !bytes.Equal(objs[name], b) {
+				m.DeterministicObjects = false
+			}
+		}
 	}
 
-	out, err := json.MarshalIndent(struct {
-		Benchmarks []aggBenchResult `json:"benchmarks"`
-		Checks     aggBenchChecks   `json:"checks"`
-		Parity     aggParity        `json:"parity"`
-		SimCurves  []aggSimCurve    `json:"sim_curves"`
-	}{results, checks, parity, curves}, "", "  ")
+	base, err := benchPersist("persist_filestore", openFileStore)
 	if err != nil {
-		return err
+		return m, err
 	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
+	off, err := benchPersist("persist_filestore_aggoff", openFileStore)
+	if err != nil {
+		return m, err
 	}
-	fmt.Printf("wrote %s\n", outPath)
-	if !checks.DeterministicObjects || !checks.OneObjectPerEpoch {
-		return fmt.Errorf("aggregation determinism checks failed (see %s)", outPath)
+	m.StoreAllocsPerOp, m.OffAllocsPerOp = base.AllocsPerOp, off.AllocsPerOp
+
+	m.SimCurves, err = runAggSimCurves()
+	return m, err
+}
+
+func aggregateGates(m aggMetrics) []gate {
+	drift := m.OffAllocsPerOp - m.StoreAllocsPerOp
+	if drift < 0 {
+		drift = -drift
 	}
-	if !parity.WithinNoise {
-		return fmt.Errorf("aggregation-off store figures drifted outside noise (see %s)", outPath)
+	return []gate{
+		isTrue("deterministic_objects", m.DeterministicObjects),
+		isTrue("one_object_per_epoch", m.OneObjectPerEpoch),
+		// 25% of the baseline plus 16 allocs of slack.
+		atMost("aggregate_off_alloc_drift", drift, int64(float64(m.StoreAllocsPerOp)*0.25)+16),
 	}
-	return nil
 }

@@ -1,25 +1,16 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"damaris/internal/cluster"
-	"damaris/internal/cm1"
 	"damaris/internal/config"
 	"damaris/internal/control"
-	"damaris/internal/core"
 	"damaris/internal/iostrat"
-	"damaris/internal/mpi"
-	"damaris/internal/store"
 )
 
-// ctlConvergence is one simulated controller curve of BENCH_control.json.
+// ctlConvergence is one simulated controller curve.
 type ctlConvergence struct {
 	Scenario string `json:"scenario"`
 	Platform string `json:"platform"`
@@ -34,22 +25,17 @@ type ctlConvergence struct {
 	Ratio   float64 `json:"final_ratio"`
 }
 
-// ctlParity is the static-vs-auto determinism gate: the same workload run
-// under static control and under auto control (different decision
-// sequences by construction) must leave byte-identical DSF objects.
-type ctlParity struct {
-	Objects   int  `json:"objects"`
-	Identical bool `json:"identical"`
-}
-
-// ctlBenchReport is BENCH_control.json.
-type ctlBenchReport struct {
+// ctlMetrics is the control suite's report.
+type ctlMetrics struct {
 	Convergence []ctlConvergence `json:"convergence"`
 	// ObserveAllocsPerOp is the steady-state allocation count of one
 	// controller observation — it runs on the dedicated core's event loop
 	// every iteration, so the budget is zero.
-	ObserveAllocsPerOp int64     `json:"observe_allocs_per_op"`
-	Parity             ctlParity `json:"parity"`
+	ObserveAllocsPerOp int64 `json:"observe_allocs_per_op"`
+	// Parity: the same workload under static control and under auto control
+	// (different decision sequences by construction) must leave
+	// byte-identical DSF objects.
+	Parity parityResult `json:"parity"`
 }
 
 // runCtlConvergence simulates the controller on the paper's platforms: a
@@ -135,180 +121,42 @@ func benchObserve() int64 {
 	return r.AllocsPerOp()
 }
 
-// ctlScheduler is a per-iteration (non-batch-aware) scheduler: it pins the
-// pipeline to one-iteration batches so the off-mode DSF directory layout is
-// deterministic and the parity run can compare whole directories.
-type ctlScheduler struct{}
+// controlMode returns the parity mutation for one control mode.
+func controlMode(mode string) func(*config.Config) {
+	return func(cfg *config.Config) {
+		cfg.ControlMode = mode
+		cfg.ControlIntervalMS = 1
+		cfg.ControlMaxWriters = 4
+		cfg.ControlMaxWindow = 6
+	}
+}
 
-func (ctlScheduler) WaitTurn(int64) {}
-
-// runCtlParityOnce executes one real middleware run (1 node x 4 cores, CM1
-// write pattern) under the given control mode with injected store latency,
-// and returns the output objects.
-func runCtlParityOnce(mode string, lat time.Duration) (map[string][]byte, error) {
-	dir, err := os.MkdirTemp("", "damaris-ctl-parity")
-	if err != nil {
-		return nil, err
+func measureControl() (ctlMetrics, error) {
+	var m ctlMetrics
+	var err error
+	if m.Convergence, err = runCtlConvergence(); err != nil {
+		return m, err
 	}
-	defer os.RemoveAll(dir)
-	backend, err := store.NewFileStore(dir, store.Options{Fault: store.Latency(lat)})
-	if err != nil {
-		return nil, err
-	}
-	defer backend.Close()
-
-	const ranks, coresPerNode, steps, outputEvery = 4, 4, 12, 1
-	params := cm1.DefaultParams(ranks-1, 1)
-	cfg, err := config.ParseString(cm1.ConfigXML(params, 32<<20, "mutex", 1))
-	if err != nil {
-		return nil, err
-	}
-	cfg.PersistWorkers = 1
-	cfg.PersistQueueDepth = 1
-	cfg.ControlMode = mode
-	cfg.ControlIntervalMS = 1
-	cfg.ControlMaxWriters = 4
-	cfg.ControlMaxWindow = 6
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
-	pers := &core.DSFPersister{Backend: backend}
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	err = mpi.Run(ranks, coresPerNode, func(comm *mpi.Comm) {
-		dep, err := core.Deploy(comm, cfg, nil, core.Options{
-			Persister: pers, Scheduler: ctlScheduler{},
+	m.ObserveAllocsPerOp = benchObserve()
+	// Static against auto under two injected latencies: three distinct
+	// controller decision sequences over one workload (1 node x 4 cores).
+	m.Parity, err = parity(deployment{ranks: 4, coresPerNode: 4, dedicated: 1, steps: 12, outputEvery: 1},
+		[]storeRun{
+			{controlMode("static"), 0},
+			{controlMode("auto"), 500 * time.Microsecond},
+			{controlMode("auto"), 2 * time.Millisecond},
 		})
-		if err != nil {
-			fail(err)
-			return
-		}
-		if !dep.IsClient() {
-			if err := dep.Server.Run(); err != nil {
-				fail(err)
-			}
-			return
-		}
-		sim, err := cm1.New(dep.ClientComm, params)
-		if err != nil {
-			fail(err)
-			return
-		}
-		b := cm1.NewDamarisBackend(dep.Client)
-		if _, err := cm1.Run(sim, b, steps, outputEvery); err != nil {
-			fail(err)
-		}
-		if err := b.Close(); err != nil {
-			fail(err)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	out := make(map[string][]byte)
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range ents {
-		if e.IsDir() || e.Name()[0] == '.' {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		out[e.Name()] = b
-	}
-	return out, nil
+	return m, err
 }
 
-// runCtlParity compares static against auto under two different injected
-// latencies — three distinct controller decision sequences over one
-// workload; all must produce identical bytes.
-func runCtlParity() (ctlParity, error) {
-	ref, err := runCtlParityOnce("static", 0)
-	if err != nil {
-		return ctlParity{}, err
+func controlGates(m ctlMetrics) []gate {
+	var gates []gate
+	for _, c := range m.Convergence {
+		gates = append(gates,
+			isTrue(c.Scenario+"_converged", c.Converged),
+			isTrue(c.Scenario+"_bounded", c.Bounded))
 	}
-	p := ctlParity{Objects: len(ref), Identical: len(ref) > 0}
-	for _, lat := range []time.Duration{500 * time.Microsecond, 2 * time.Millisecond} {
-		got, err := runCtlParityOnce("auto", lat)
-		if err != nil {
-			return p, err
-		}
-		if len(got) != len(ref) {
-			p.Identical = false
-			continue
-		}
-		for name, want := range ref {
-			if string(got[name]) != string(want) {
-				p.Identical = false
-			}
-		}
-	}
-	return p, nil
-}
-
-// runControlBench simulates controller convergence, measures the observe
-// path's allocations, proves static-vs-auto byte parity on the real
-// middleware path, and writes BENCH_control.json. Any failed check is an
-// error — the bench doubles as the regression gate.
-func runControlBench(outPath string) error {
-	curves, err := runCtlConvergence()
-	if err != nil {
-		return err
-	}
-	for _, c := range curves {
-		fmt.Printf("%-16s %-10s settled@%2d/%d steady writers=%d window=%d (bounded=%v ratio=%.2f)\n",
-			c.Scenario, c.Platform, c.SettledEpoch, c.Epochs,
-			c.Steady.Writers, c.Steady.Window, c.Bounded, c.Ratio)
-	}
-
-	allocs := benchObserve()
-	fmt.Printf("observe: %d allocs/op steady state\n", allocs)
-
-	parity, err := runCtlParity()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("parity: %d objects, static-vs-auto byte-identical=%v\n", parity.Objects, parity.Identical)
-
-	out, err := json.MarshalIndent(ctlBenchReport{
-		Convergence:        curves,
-		ObserveAllocsPerOp: allocs,
-		Parity:             parity,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-
-	for _, c := range curves {
-		if !c.Converged || !c.Bounded {
-			return fmt.Errorf("controller failed to converge inside bounds in %q (see %s)", c.Scenario, outPath)
-		}
-	}
-	if allocs > 0 {
-		return fmt.Errorf("controller observe path allocates %d/op, budget is 0 (see %s)", allocs, outPath)
-	}
-	if !parity.Identical {
-		return fmt.Errorf("static-vs-auto output parity failed (see %s)", outPath)
-	}
-	return nil
+	return append(gates,
+		atMost("observe_allocs_per_op", m.ObserveAllocsPerOp, 0),
+		isTrue("static_auto_byte_identical", m.Parity.Identical))
 }

@@ -14,10 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"damaris/internal/cm1"
 	"damaris/internal/config"
 	"damaris/internal/core"
-	"damaris/internal/mpi"
 	"damaris/internal/obs"
 	"damaris/internal/store"
 )
@@ -30,7 +28,6 @@ type obsFederation struct {
 	Samples              int     `json:"samples"`
 	MergeAllocsPerOp     float64 `json:"merge_allocs_per_op"`
 	MergeAllocsPerSample float64 `json:"merge_allocs_per_sample"`
-	AllocsPerSampleBound float64 `json:"allocs_per_sample_bound"`
 	OrderStable          bool    `json:"order_stable"`
 	CheckClean           bool    `json:"check_clean"`
 }
@@ -126,10 +123,9 @@ func benchFederation(measureAllocs bool) obsFederation {
 	sources := fedBenchSources(ranks)
 	merged := obs.Federate(sources)
 	fd := obsFederation{
-		Sources:              ranks,
-		Samples:              len(merged),
-		AllocsPerSampleBound: federationAllocsPerSampleBound,
-		CheckClean:           obs.CheckSamples(merged) == nil,
+		Sources:    ranks,
+		Samples:    len(merged),
+		CheckClean: obs.CheckSamples(merged) == nil,
 	}
 	if measureAllocs && len(merged) > 0 {
 		fd.MergeAllocsPerOp = testing.AllocsPerRun(200, func() {
@@ -160,19 +156,12 @@ func benchFederation(measureAllocs bool) obsFederation {
 	return fd
 }
 
-// gateFederation turns a failed merge figure into an error.
-func gateFederation(fd obsFederation, outPath string) error {
-	if fd.MergeAllocsPerSample > fd.AllocsPerSampleBound {
-		return fmt.Errorf("federation merge allocates %.2f/sample, bound %.1f (see %s)",
-			fd.MergeAllocsPerSample, fd.AllocsPerSampleBound, outPath)
+func gateFederation(fd obsFederation) []gate {
+	return []gate{
+		atMost("federation_allocs_per_sample", fd.MergeAllocsPerSample, federationAllocsPerSampleBound),
+		isTrue("federation_order_stable", fd.OrderStable),
+		isTrue("federation_check_clean", fd.CheckClean),
 	}
-	if !fd.OrderStable {
-		return fmt.Errorf("federated exposition bytes depend on source order (see %s)", outPath)
-	}
-	if !fd.CheckClean {
-		return fmt.Errorf("federated sample set fails exposition lint (see %s)", outPath)
-	}
-	return nil
 }
 
 // runObsFleet executes the two-node aggregated run and scrapes its fleet
@@ -195,68 +184,26 @@ func runObsFleet() (obsFleet, error) {
 	}
 	defer backend.Close()
 
-	clients := fleetRanks - fleetRanks/fleetCoresPer
-	params := cm1.DefaultParams(clients, 1)
-	cfg, err := config.ParseString(cm1.ConfigXML(params, 32<<20, "mutex", 1))
-	if err != nil {
-		return fl, err
-	}
-	cfg.AggregateMode = "node"
-	cfg.PersistWorkers = 1
-	cfg.PersistQueueDepth = 2
-	if err := cfg.Validate(); err != nil {
-		return fl, err
-	}
-
 	rankRegs := map[int]*obs.Registry{}
 	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	err = mpi.Run(fleetRanks, fleetCoresPer, func(comm *mpi.Comm) {
-		me := comm.Rank()
-		pers := &core.DSFPersister{Backend: backend, Node: me / fleetCoresPer, ServerID: me}
-		pers.SetTracer(plane.Tracer())
-		dep, err := core.Deploy(comm, cfg, nil, core.Options{Persister: pers, Obs: plane})
-		if err != nil {
-			fail(err)
-			return
-		}
-		if !dep.IsClient() {
+	_, _, err = deployment{
+		ranks: fleetRanks, coresPerNode: fleetCoresPer, dedicated: 1,
+		steps: fleetSteps, outputEvery: 1, backend: backend, plane: plane,
+		mutate: func(cfg *config.Config) {
+			cfg.AggregateMode = "node"
+			cfg.PersistQueueDepth = 2
+		},
+		onServer: func(rank int, srv *core.Server) {
 			reg := obs.NewRegistry()
-			dep.Server.RegisterObs(reg)
+			srv.RegisterObs(reg)
 			mu.Lock()
-			rankRegs[me] = reg
+			rankRegs[rank] = reg
 			mu.Unlock()
-			fleet.AddRegistry(fmt.Sprint(me), reg)
-			if err := dep.Server.Run(); err != nil {
-				fail(err)
-			}
-			return
-		}
-		sim, err := cm1.New(dep.ClientComm, params)
-		if err != nil {
-			fail(err)
-			return
-		}
-		b := cm1.NewDamarisBackend(dep.Client)
-		if _, err := cm1.Run(sim, b, fleetSteps, 1); err != nil {
-			fail(err)
-		}
-		if err := b.Close(); err != nil {
-			fail(err)
-		}
-	})
+			fleet.AddRegistry(fmt.Sprint(rank), reg)
+		},
+	}.run()
 	if err != nil {
 		return fl, err
-	}
-	if firstErr != nil {
-		return fl, firstErr
 	}
 	fl.Epochs = fleetSteps
 
@@ -371,29 +318,18 @@ func runObsFleet() (obsFleet, error) {
 	return fl, nil
 }
 
-// gateFleet turns a failed fleet-run figure into an error.
-func gateFleet(fl obsFleet, outPath string) error {
-	if !fl.OrderStable {
-		return fmt.Errorf("fleet exposition bytes depend on scrape order (see %s)", outPath)
+func gateFleet(fl obsFleet) []gate {
+	return []gate{
+		isTrue("fleet_order_stable", fl.OrderStable),
+		isTrue("fleet_check_clean", fl.CheckClean),
+		isTrue("fleet_counters_summed", fl.CountersSummed),
+		atLeast("fleet_counter_samples", fl.CounterSamples, 1),
+		isTrue("fleet_epochs_complete", fl.EpochsComplete),
+		equal("fleet_forward_spans", fl.ForwardSpans, fleetSteps),
+		equal("fleet_fanack_spans", fl.FanAckSpans, fleetSteps),
+		isTrue("fleet_cross_rank_origins", fl.CrossRankOrig),
+		isTrue("fleet_ready_after_quiesce", fl.Ready),
 	}
-	if !fl.CheckClean {
-		return fmt.Errorf("fleet exposition fails lint (see %s)", outPath)
-	}
-	if !fl.CountersSummed || fl.CounterSamples == 0 {
-		return fmt.Errorf("fleet counters disagree with the sum of per-rank scrapes (%d counter samples, see %s)",
-			fl.CounterSamples, outPath)
-	}
-	if !fl.EpochsComplete {
-		return fmt.Errorf("/epochs is missing a committed epoch or leaves one unattributed (see %s)", outPath)
-	}
-	if fl.ForwardSpans != fleetSteps || fl.FanAckSpans != fleetSteps || !fl.CrossRankOrig {
-		return fmt.Errorf("wire trace legs wrong: %d forward, %d fanack spans for %d epochs, origins ok=%v (see %s)",
-			fl.ForwardSpans, fl.FanAckSpans, fleetSteps, fl.CrossRankOrig, outPath)
-	}
-	if !fl.Ready {
-		return fmt.Errorf("/readyz not 200 after the run quiesced (see %s)", outPath)
-	}
-	return nil
 }
 
 // runObsBrownout executes the core-mode run with node 1's object commits
@@ -425,79 +361,26 @@ func runObsBrownout() (obsBrownout, error) {
 	}
 	defer backend.Close()
 
-	clients := brownRanks - 2*(brownRanks/brownCoresPer)
-	params := cm1.DefaultParams(clients, 1)
-	cfg, err := config.ParseString(cm1.ConfigXML(params, 32<<20, "mutex", 2))
+	_, _, err = deployment{
+		ranks: brownRanks, coresPerNode: brownCoresPer, dedicated: 2,
+		steps: brownSteps, outputEvery: 1, backend: backend, plane: plane,
+		// The queue keeps the runner's depth of 1, so the flow window is one
+		// iteration: with a deeper queue the commit delay shows up as queue
+		// wait on the *next* epoch and the attribution smears across
+		// stages; at depth 1 every browned epoch's time sits squarely in
+		// persist.
+		mutate: func(cfg *config.Config) { cfg.AggregateMode = "core" },
+		// A compute phase longer than the injected commit delay: iteration
+		// N+1 then never queues behind N's browned commit, so each epoch's
+		// delay lands in its own persist stage instead of smearing into the
+		// next epoch's queue wait. The barrier keeps the clients in
+		// lockstep: the write-stage span measures first-write-arrival to
+		// iteration-complete, and without it the pauses drift apart until
+		// client skew rivals brownDelay.
+		pause: 2 * brownDelay,
+	}.run()
 	if err != nil {
 		return br, err
-	}
-	cfg.AggregateMode = "core"
-	cfg.PersistWorkers = 1
-	// Depth 1 keeps the flow window at one iteration: with a deeper queue
-	// the commit delay shows up as queue wait on the *next* epoch and the
-	// attribution smears across stages; at depth 1 every browned epoch's
-	// time sits squarely in persist.
-	cfg.PersistQueueDepth = 1
-	if err := cfg.Validate(); err != nil {
-		return br, err
-	}
-
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	err = mpi.Run(brownRanks, brownCoresPer, func(comm *mpi.Comm) {
-		me := comm.Rank()
-		pers := &core.DSFPersister{Backend: backend, Node: me / brownCoresPer, ServerID: me}
-		pers.SetTracer(plane.Tracer())
-		dep, err := core.Deploy(comm, cfg, nil, core.Options{Persister: pers, Obs: plane})
-		if err != nil {
-			fail(err)
-			return
-		}
-		if !dep.IsClient() {
-			if err := dep.Server.Run(); err != nil {
-				fail(err)
-			}
-			return
-		}
-		sim, err := cm1.New(dep.ClientComm, params)
-		if err != nil {
-			fail(err)
-			return
-		}
-		b := cm1.NewDamarisBackend(dep.Client)
-		// Drive write phases by hand with a compute phase longer than the
-		// injected commit delay: iteration N+1 then never queues behind
-		// N's browned commit, so each epoch's delay lands in its own
-		// persist stage instead of smearing into the next epoch's queue
-		// wait — the attribution the gate checks must be deterministic.
-		// The barrier keeps the clients in lockstep: the write-stage span
-		// measures first-write-arrival to iteration-complete, and without
-		// it the sleeps drift apart until client skew rivals brownDelay.
-		for it := int64(0); it < brownSteps; it++ {
-			sim.Step()
-			time.Sleep(2 * brownDelay)
-			dep.ClientComm.Barrier()
-			if err := b.WritePhase(sim, it); err != nil {
-				fail(err)
-				break
-			}
-		}
-		if err := b.Close(); err != nil {
-			fail(err)
-		}
-	})
-	if err != nil {
-		return br, err
-	}
-	if firstErr != nil {
-		return br, firstErr
 	}
 
 	reports := obs.AnalyzeEpochs(plane.Tracer().Snapshot())
@@ -521,19 +404,10 @@ func runObsBrownout() (obsBrownout, error) {
 	return br, nil
 }
 
-// gateBrownout turns a failed attribution into an error.
-func gateBrownout(br obsBrownout, outPath string) error {
-	if br.Epochs < brownSteps {
-		return fmt.Errorf("brownout run reconstructed %d epochs, want >= %d (see %s)",
-			br.Epochs, brownSteps, outPath)
+func gateBrownout(br obsBrownout) []gate {
+	return []gate{
+		atLeast("brownout_epochs", br.Epochs, brownSteps),
+		isTrue("brownout_persist_dominant", br.PersistDominant),
+		isTrue("brownout_slowest_on_browned", br.SlowestBrowned),
 	}
-	if !br.PersistDominant {
-		return fmt.Errorf("brownout epochs not attributed to persist: dominants %v (see %s)",
-			br.DominantStages, outPath)
-	}
-	if !br.SlowestBrowned {
-		return fmt.Errorf("slowest origin not on the browned node: origins %v, browned %v (see %s)",
-			br.SlowestOrigins, br.BrownedServers, outPath)
-	}
-	return nil
 }

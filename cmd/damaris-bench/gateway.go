@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -14,63 +12,43 @@ import (
 	"damaris/internal/store"
 )
 
-// gatewayBenchResult is one row of BENCH_gateway.json.
-type gatewayBenchResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	MBPerS      float64 `json:"mb_per_s"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+// gatewayMetrics is the gateway suite's report: cold and warm full-object
+// read figures over a content-addressed store, and the cache's hit rates.
+type gatewayMetrics struct {
+	Warm            benchRow `json:"warm"`
+	ColdNsPerOp     int64    `json:"cold_ns_per_op"`
+	ColdWarmRatio   float64  `json:"cold_warm_ratio"`
+	PartHitRate     float64  `json:"part_hit_rate"`
+	TOCHitRate      float64  `json:"toc_hit_rate"`
+	WarmBackendGets int64    `json:"warm_backend_gets"`
+	ByteIdentical   bool     `json:"byte_identical_with_serial"`
 }
 
-// gatewayBenchChecks records what the bench run proves alongside the
-// numbers: the part cache must turn warm full-object reads into zero
-// backend Gets, and the cached path must serve the same bytes as the
-// store's own serial reader.
-type gatewayBenchChecks struct {
-	ColdNsPerOp     int64   `json:"cold_ns_per_op"`
-	WarmNsPerOp     int64   `json:"warm_ns_per_op"`
-	ColdWarmRatio   float64 `json:"cold_warm_ratio"`
-	PartHitRate     float64 `json:"part_hit_rate"`
-	TOCHitRate      float64 `json:"toc_hit_rate"`
-	WarmBackendGets int64   `json:"warm_backend_gets"`
-	WarmZeroGets    bool    `json:"warm_zero_gets"`
-	ByteIdentical   bool    `json:"byte_identical_with_serial"`
-}
-
-// runGatewayBench measures the read gateway's cold and warm full-object
-// read paths over a content-addressed store and writes BENCH_gateway.json.
-// A warm read that still touches the backend, or a byte mismatch with the
-// serial reader, is an error: the bench doubles as the cache regression
-// gate.
-func runGatewayBench(outPath string) error {
-	const partSize = 256 << 10
+func measureGateway() (gatewayMetrics, error) {
+	var m gatewayMetrics
 	entries, _ := persistWorkload()
-
 	dir, err := os.MkdirTemp("", "damaris-gateway-bench")
 	if err != nil {
-		return err
+		return m, err
 	}
 	defer os.RemoveAll(dir)
-	backend, err := store.NewObjStore(dir, store.Options{PartSize: partSize})
+	backend, err := store.NewObjStore(dir, store.Options{PartSize: storePartSize})
 	if err != nil {
-		return err
+		return m, err
 	}
 	defer backend.Close()
 	pers := &core.DSFPersister{Backend: backend, Codec: dsf.None}
 	for it := int64(0); it < 4; it++ {
 		if err := pers.Persist(it, entries); err != nil {
-			return err
+			return m, err
 		}
 	}
 	object := pers.Files()[0]
 	serial, err := readObject(backend, object)
 	if err != nil {
-		return err
+		return m, err
 	}
 	size := int64(len(serial))
-
-	var checks gatewayBenchChecks
 
 	// Cold: fresh gateway (empty TOC and part caches) per sample, so every
 	// read pays the manifest decode and every part fetch.
@@ -79,87 +57,54 @@ func runGatewayBench(outPath string) error {
 	for i := 0; i < coldSamples; i++ {
 		g, err := gateway.New(gateway.Config{Backend: backend})
 		if err != nil {
-			return err
+			return m, err
 		}
 		start := time.Now()
 		got, err := g.ReadRange(object, 0, size)
 		coldTotal += time.Since(start)
 		if err != nil {
-			return err
+			return m, err
 		}
 		if i == 0 {
-			checks.ByteIdentical = bytes.Equal(got, serial)
+			m.ByteIdentical = bytes.Equal(got, serial)
 		}
 	}
-	checks.ColdNsPerOp = coldTotal.Nanoseconds() / coldSamples
+	m.ColdNsPerOp = coldTotal.Nanoseconds() / coldSamples
 
 	// Warm: one gateway, caches populated, then the measured loop. The
 	// same instance reports the hit rates and the Gets delta.
 	g, err := gateway.New(gateway.Config{Backend: backend})
 	if err != nil {
-		return err
+		return m, err
 	}
 	if _, err := g.ReadRange(object, 0, size); err != nil {
-		return err
+		return m, err
 	}
 	getsBefore := g.Stats().BackendGets
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(size)
-		b.ReportAllocs()
-		b.ResetTimer()
+	m.Warm, err = measure("gateway_read_warm", size, func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			if _, err := g.ReadRange(object, 0, size); err != nil {
-				benchErr = err
-				b.Fatal(err)
+				return err
 			}
 		}
+		return nil
 	})
-	if benchErr != nil {
-		return benchErr
-	}
-	warm := gatewayBenchResult{
-		Name:        "gateway_read_warm",
-		NsPerOp:     r.NsPerOp(),
-		MBPerS:      float64(size) / 1e6 / (float64(r.NsPerOp()) / 1e9),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-
-	s := g.Stats()
-	checks.WarmNsPerOp = r.NsPerOp()
-	if r.NsPerOp() > 0 {
-		checks.ColdWarmRatio = float64(checks.ColdNsPerOp) / float64(r.NsPerOp())
-	}
-	checks.PartHitRate = s.PartHitRate()
-	checks.TOCHitRate = s.TOCHitRate()
-	checks.WarmBackendGets = s.BackendGets - getsBefore
-	checks.WarmZeroGets = checks.WarmBackendGets == 0
-
-	fmt.Printf("%-24s %12d ns/op %8.1f MB/s %6d allocs/op\n",
-		warm.Name, warm.NsPerOp, warm.MBPerS, warm.AllocsPerOp)
-	fmt.Printf("checks: cold/warm=%.1fx part_hit_rate=%.3f toc_hit_rate=%.3f warm_backend_gets=%d byte_identical=%v\n",
-		checks.ColdWarmRatio, checks.PartHitRate, checks.TOCHitRate,
-		checks.WarmBackendGets, checks.ByteIdentical)
-
-	if !checks.WarmZeroGets {
-		return fmt.Errorf("gateway-bench: warm reads reached the backend %d times, want 0", checks.WarmBackendGets)
-	}
-	if !checks.ByteIdentical {
-		return fmt.Errorf("gateway-bench: gateway bytes differ from the serial reader")
-	}
-
-	out, err := json.MarshalIndent(struct {
-		Benchmarks []gatewayBenchResult `json:"benchmarks"`
-		Checks     gatewayBenchChecks   `json:"checks"`
-	}{[]gatewayBenchResult{warm}, checks}, "", "  ")
 	if err != nil {
-		return err
+		return m, err
 	}
-	out = append(out, '\n')
-	if err := os.WriteFile(outPath, out, 0o644); err != nil {
-		return err
+	s := g.Stats()
+	if m.Warm.NsPerOp > 0 {
+		m.ColdWarmRatio = float64(m.ColdNsPerOp) / float64(m.Warm.NsPerOp)
 	}
-	fmt.Println("wrote", outPath)
-	return nil
+	m.PartHitRate = s.PartHitRate()
+	m.TOCHitRate = s.TOCHitRate()
+	m.WarmBackendGets = s.BackendGets - getsBefore
+	return m, nil
+}
+
+func gatewayGates(m gatewayMetrics) []gate {
+	return []gate{
+		atMost("warm_backend_gets", m.WarmBackendGets, 0),
+		isTrue("byte_identical_with_serial", m.ByteIdentical),
+	}
 }

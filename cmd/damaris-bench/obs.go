@@ -17,7 +17,6 @@ import (
 	"damaris/internal/core"
 	"damaris/internal/dsf"
 	"damaris/internal/obs"
-	"damaris/internal/store"
 )
 
 // obsAllocs are the observe-path allocation figures BENCH_obs.json gates on:
@@ -36,7 +35,6 @@ type obsPersistOverhead struct {
 	AllocsOff  int64   `json:"allocs_per_op_off"`
 	AllocsOn   int64   `json:"allocs_per_op_on"`
 	AllocRatio float64 `json:"alloc_ratio"`
-	RatioBound float64 `json:"ratio_bound"`
 	NsPerOpOff int64   `json:"ns_per_op_off"`
 	NsPerOpOn  int64   `json:"ns_per_op_on"`
 }
@@ -44,22 +42,24 @@ type obsPersistOverhead struct {
 // obsLive is the end-to-end half of the report: a real brownout+spill run
 // scraped over HTTP while its telemetry plane is attached.
 type obsLive struct {
-	Spilled           int64 `json:"spilled"`
-	DegradedDecisions int64 `json:"degraded_decisions"`
-	PrometheusBytes   int   `json:"prometheus_bytes"`
-	PrometheusStable  bool  `json:"prometheus_stable"`
-	JSONMetrics       int   `json:"json_metrics"`
-	SpillMetricLive   bool  `json:"spill_metric_live"`
-	TraceSpans        int   `json:"trace_spans"`
-	SpillSpans        int   `json:"spill_spans"`
-	PersistSpans      int   `json:"persist_spans"`
-	ChromeEvents      int   `json:"chrome_events"`
-	JitterStages      int   `json:"jitter_stages"`
-	JitterExact       bool  `json:"jitter_exact"`
+	Spilled            int64 `json:"spilled"`
+	DegradedDecisions  int64 `json:"degraded_decisions"`
+	ExpositionClean    bool  `json:"exposition_clean"`
+	PrometheusBytes    int   `json:"prometheus_bytes"`
+	PrometheusStable   bool  `json:"prometheus_stable"`
+	PrometheusFamilies bool  `json:"prometheus_families"`
+	JSONMetrics        int   `json:"json_metrics"`
+	SpillMetricLive    bool  `json:"spill_metric_live"`
+	TraceSpans         int   `json:"trace_spans"`
+	SpillSpans         int   `json:"spill_spans"`
+	PersistSpans       int   `json:"persist_spans"`
+	ChromeEvents       int   `json:"chrome_events"`
+	JitterStages       int   `json:"jitter_stages"`
+	JitterExact        bool  `json:"jitter_exact"`
 }
 
-// obsReport is BENCH_obs.json.
-type obsReport struct {
+// obsMetrics is the obs suite's report.
+type obsMetrics struct {
 	Allocs           obsAllocs          `json:"allocs"`
 	ExpositionStable bool               `json:"exposition_stable"`
 	ExpositionBytes  int                `json:"exposition_bytes"`
@@ -137,28 +137,24 @@ func checkExpositionStable() (bool, int) {
 // benchPersistOverhead runs the DSF persist benchmark workload with the
 // lifecycle tracer detached and attached.
 func benchPersistOverhead() (obsPersistOverhead, error) {
-	entries, _ := persistWorkload()
-	run := func(tr *obs.Tracer) (testing.BenchmarkResult, error) {
-		var benchErr error
-		r := testing.Benchmark(func(b *testing.B) {
+	entries, total := persistWorkload()
+	run := func(tr *obs.Tracer) (benchRow, error) {
+		return measure("persist_shufflegzip", total, func(b *testing.B) error {
 			dir, err := os.MkdirTemp("", "damaris-obs-bench")
 			if err != nil {
-				benchErr = err
-				b.Skip()
+				return err
 			}
 			defer os.RemoveAll(dir)
 			pers := &core.DSFPersister{Dir: dir, Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel}
 			pers.SetTracer(tr)
-			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := pers.Persist(int64(i%64), entries); err != nil {
-					benchErr = err
-					b.Skip()
+					return err
 				}
 			}
+			return nil
 		})
-		return r, benchErr
 	}
 	off, err := run(nil)
 	if err != nil {
@@ -169,18 +165,17 @@ func benchPersistOverhead() (obsPersistOverhead, error) {
 		return obsPersistOverhead{}, err
 	}
 	res := obsPersistOverhead{
-		AllocsOff:  off.AllocsPerOp(),
-		AllocsOn:   on.AllocsPerOp(),
-		RatioBound: persistAllocRatioBound,
-		NsPerOpOff: off.NsPerOp(),
-		NsPerOpOn:  on.NsPerOp(),
+		AllocsOff:  off.AllocsPerOp,
+		AllocsOn:   on.AllocsPerOp,
+		NsPerOpOff: off.NsPerOp,
+		NsPerOpOn:  on.NsPerOp,
 	}
-	if off.AllocsPerOp() > 0 {
-		res.AllocRatio = float64(on.AllocsPerOp()) / float64(off.AllocsPerOp())
-	} else if on.AllocsPerOp() == 0 {
+	if off.AllocsPerOp > 0 {
+		res.AllocRatio = float64(on.AllocsPerOp) / float64(off.AllocsPerOp)
+	} else if on.AllocsPerOp == 0 {
 		res.AllocRatio = 1
 	} else {
-		res.AllocRatio = float64(on.AllocsPerOp())
+		res.AllocRatio = float64(on.AllocsPerOp)
 	}
 	return res, nil
 }
@@ -202,21 +197,15 @@ func fetch(base, path string) ([]byte, error) {
 	return body, nil
 }
 
-// runObsLive repeats the resilience bench's brownout scenario with a
-// telemetry plane attached and scrapes it over HTTP after the run quiesces:
+// runObsLive repeats the resilience suite's brownout run with a telemetry
+// plane attached and scrapes it over HTTP after the run quiesces:
 // Prometheus text (twice — the bytes must repeat), the JSON exposition, the
 // lifecycle trace in JSONL and Chrome forms, and the jitter document, which
 // must match a direct JitterReport call exactly.
 func runObsLive() (obsLive, error) {
 	var live obsLive
 	plane := obs.NewPlane(1 << 16)
-	const baseLat = 10 * time.Millisecond
-	fault := store.Chain(
-		store.Latency(baseLat, store.OpPut),
-		store.Brownout(time.Now().Add(-15*time.Second), 30*time.Second,
-			5*baseLat, 0.2, store.OpPut),
-	)
-	run, _, err := runResilienceOnce("obs-brownout", fault, plane)
+	run, _, err := runSpill(brownoutFault(), plane)
 	if err != nil {
 		return live, err
 	}
@@ -226,9 +215,7 @@ func runObsLive() (obsLive, error) {
 	// A scraper rejects the whole page on a duplicate series or a split
 	// TYPE block, so a colliding family name must fail the bench, not the
 	// first real scrape.
-	if err := plane.Registry().CheckExposition(); err != nil {
-		return live, fmt.Errorf("live exposition unparseable: %w", err)
-	}
+	live.ExpositionClean = plane.Registry().CheckExposition() == nil
 
 	srv := httptest.NewServer(plane.Handler())
 	defer srv.Close()
@@ -243,10 +230,8 @@ func runObsLive() (obsLive, error) {
 	}
 	live.PrometheusBytes = len(prom1)
 	live.PrometheusStable = bytes.Equal(prom1, prom2)
-	if !bytes.Contains(prom1, []byte("damaris_spill_spilled_total")) ||
-		!bytes.Contains(prom1, []byte("damaris_stage_seconds_bucket")) {
-		return live, fmt.Errorf("prometheus scrape is missing expected families")
-	}
+	live.PrometheusFamilies = bytes.Contains(prom1, []byte("damaris_spill_spilled_total")) &&
+		bytes.Contains(prom1, []byte("damaris_stage_seconds_bucket"))
 
 	body, err := fetch(srv.URL, "/v1/metrics")
 	if err != nil {
@@ -312,119 +297,53 @@ func runObsLive() (obsLive, error) {
 	return live, nil
 }
 
-// runObsBench executes the telemetry-plane gates end to end and writes
-// BENCH_obs.json: 0-alloc observe paths, byte-stable exposition under
-// concurrency, bounded persist-path tracing overhead, and a live scraped
-// brownout run whose spill/degraded activity and jitter figures are visible
-// (and exact) over HTTP. The fleet half follows: federation merge allocs
-// and scrape-order byte identity, a live two-node aggregated run whose
-// /fleet/metrics counters must equal the sum of the per-rank scrapes with
-// complete /epochs attribution and both wire trace legs present, and a
-// browned-out run the epoch analyzer must pin on the persist stage of the
-// browned node's dedicated cores.
-func runObsBench(outPath string) error {
-	allocs := benchObsAllocs()
-	fmt.Printf("observe allocs/op: counter=%.1f gauge=%.1f histogram=%.1f record=%.1f\n",
-		allocs.CounterIncPerOp, allocs.GaugeSetPerOp,
-		allocs.HistogramObsPerOp, allocs.TracerRecordPerOp)
+// measureObs runs the telemetry-plane half — 0-alloc observe paths,
+// byte-stable exposition under concurrency, bounded persist-path tracing
+// overhead, a live scraped brownout run — and the fleet half: federation
+// merge cost and scrape-order byte identity, a live two-node aggregated run
+// whose /fleet/metrics counters must equal the sum of the per-rank scrapes,
+// and a browned-out run the epoch analyzer must pin on the browned node.
+func measureObs() (obsMetrics, error) {
+	m := obsMetrics{Allocs: benchObsAllocs()}
+	m.ExpositionStable, m.ExpositionBytes = checkExpositionStable()
+	var err error
+	if m.Persist, err = benchPersistOverhead(); err != nil {
+		return m, err
+	}
+	if m.Live, err = runObsLive(); err != nil {
+		return m, err
+	}
+	m.Federation = benchFederation(true)
+	if m.Fleet, err = runObsFleet(); err != nil {
+		return m, err
+	}
+	m.Brownout, err = runObsBrownout()
+	return m, err
+}
 
-	stable, nbytes := checkExpositionStable()
-	fmt.Printf("exposition: %d bytes, stable across interleavings=%v\n", nbytes, stable)
-
-	persist, err := benchPersistOverhead()
-	if err != nil {
-		return err
+func obsGates(m obsMetrics) []gate {
+	a, l := m.Allocs, m.Live
+	gates := []gate{
+		atMost("counter_inc_allocs_per_op", a.CounterIncPerOp, 0),
+		atMost("gauge_set_allocs_per_op", a.GaugeSetPerOp, 0),
+		atMost("histogram_observe_allocs_per_op", a.HistogramObsPerOp, 0),
+		atMost("tracer_record_allocs_per_op", a.TracerRecordPerOp, 0),
+		isTrue("exposition_stable", m.ExpositionStable),
+		atMost("persist_trace_alloc_ratio", m.Persist.AllocRatio, persistAllocRatioBound),
+		atLeast("live_spilled", l.Spilled, 1),
+		atLeast("live_degraded_decisions", l.DegradedDecisions, 1),
+		isTrue("live_exposition_clean", l.ExpositionClean),
+		isTrue("prometheus_stable", l.PrometheusStable),
+		isTrue("prometheus_families", l.PrometheusFamilies),
+		isTrue("spill_metric_live", l.SpillMetricLive),
+		atLeast("spill_spans", l.SpillSpans, 1),
+		atLeast("persist_spans", l.PersistSpans, 1),
+		atLeast("trace_spans", l.TraceSpans, 1),
+		equal("chrome_events", l.ChromeEvents, l.TraceSpans),
+		isTrue("jitter_exact", l.JitterExact),
+		atLeast("jitter_stages", l.JitterStages, 1),
 	}
-	fmt.Printf("persist overhead: off=%d on=%d allocs/op (ratio %.3f, bound %.2f); %d -> %d ns/op\n",
-		persist.AllocsOff, persist.AllocsOn, persist.AllocRatio, persist.RatioBound,
-		persist.NsPerOpOff, persist.NsPerOpOn)
-
-	live, err := runObsLive()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("live: spilled=%d degraded=%d; %d metrics, %d spans (%d spill, %d persist), %d chrome events, %d jitter stages (exact=%v)\n",
-		live.Spilled, live.DegradedDecisions, live.JSONMetrics, live.TraceSpans,
-		live.SpillSpans, live.PersistSpans, live.ChromeEvents, live.JitterStages, live.JitterExact)
-
-	fed := benchFederation(true)
-	fmt.Printf("federation: %d sources -> %d samples, %.2f allocs/sample (bound %.1f), order-stable=%v lint-clean=%v\n",
-		fed.Sources, fed.Samples, fed.MergeAllocsPerSample, fed.AllocsPerSampleBound,
-		fed.OrderStable, fed.CheckClean)
-
-	fleet, err := runObsFleet()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fleet: %d epochs, %d fleet bytes (order-stable=%v), %d counters summed=%v, epochs-complete=%v, %d forward/%d fanack spans, ready=%v\n",
-		fleet.Epochs, fleet.FleetBytes, fleet.OrderStable, fleet.CounterSamples,
-		fleet.CountersSummed, fleet.EpochsComplete, fleet.ForwardSpans, fleet.FanAckSpans, fleet.Ready)
-
-	brown, err := runObsBrownout()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("brownout attribution: %d epochs, dominants=%v, slowest=%v (browned servers %v)\n",
-		brown.Epochs, brown.DominantStages, brown.SlowestOrigins, brown.BrownedServers)
-
-	rep := obsReport{
-		Allocs:           allocs,
-		ExpositionStable: stable,
-		ExpositionBytes:  nbytes,
-		Persist:          persist,
-		Live:             live,
-		Federation:       fed,
-		Fleet:            fleet,
-		Brownout:         brown,
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-
-	// Gates.
-	if allocs.CounterIncPerOp != 0 || allocs.GaugeSetPerOp != 0 ||
-		allocs.HistogramObsPerOp != 0 || allocs.TracerRecordPerOp != 0 {
-		return fmt.Errorf("observe path allocates (counter=%.1f gauge=%.1f histogram=%.1f record=%.1f), budget is 0 (see %s)",
-			allocs.CounterIncPerOp, allocs.GaugeSetPerOp, allocs.HistogramObsPerOp,
-			allocs.TracerRecordPerOp, outPath)
-	}
-	if !stable {
-		return fmt.Errorf("exposition bytes differ across goroutine interleavings of one observation multiset (see %s)", outPath)
-	}
-	if persist.AllocRatio > persist.RatioBound {
-		return fmt.Errorf("tracing-on persist allocs %.3fx the tracing-off baseline, bound %.2fx (see %s)",
-			persist.AllocRatio, persist.RatioBound, outPath)
-	}
-	if live.Spilled == 0 || live.DegradedDecisions == 0 {
-		return fmt.Errorf("live run never engaged spill/degraded mode — nothing to observe (see %s)", outPath)
-	}
-	if !live.PrometheusStable {
-		return fmt.Errorf("back-to-back quiesced Prometheus scrapes differ (see %s)", outPath)
-	}
-	if !live.SpillMetricLive {
-		return fmt.Errorf("scraped damaris_spill_spilled_total disagrees with the run's spill count (see %s)", outPath)
-	}
-	if live.SpillSpans == 0 || live.PersistSpans == 0 {
-		return fmt.Errorf("lifecycle trace is missing spill or persist spans (spill=%d persist=%d, see %s)",
-			live.SpillSpans, live.PersistSpans, outPath)
-	}
-	if live.ChromeEvents != live.TraceSpans || live.TraceSpans == 0 {
-		return fmt.Errorf("chrome trace has %d events for %d retained spans (see %s)",
-			live.ChromeEvents, live.TraceSpans, outPath)
-	}
-	if !live.JitterExact || live.JitterStages == 0 {
-		return fmt.Errorf("scraped /jitter does not match a direct JitterReport (see %s)", outPath)
-	}
-	if err := gateFederation(fed, outPath); err != nil {
-		return err
-	}
-	if err := gateFleet(fleet, outPath); err != nil {
-		return err
-	}
-	return gateBrownout(brown, outPath)
+	gates = append(gates, gateFederation(m.Federation)...)
+	gates = append(gates, gateFleet(m.Fleet)...)
+	return append(gates, gateBrownout(m.Brownout)...)
 }

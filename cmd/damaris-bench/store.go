@@ -2,158 +2,213 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"damaris/internal/core"
 	"damaris/internal/dsf"
+	"damaris/internal/layout"
+	"damaris/internal/metadata"
+	"damaris/internal/mpi"
 	"damaris/internal/store"
 )
 
-// storeBenchResult is one row of BENCH_store.json — the storage-backend
-// figures tracked across PRs. The dev boxes are often single-CPU, so the
-// tracked signals are allocation counts and determinism, not parallel
+// persistWorkload builds the benchmark iteration: 8 smooth float32 chunks of
+// 512 KiB each — the multi-chunk persist the encode pool is built for.
+func persistWorkload() ([]*metadata.Entry, int64) {
+	lay := layout.MustNew(layout.Float32, 128<<10)
+	var entries []*metadata.Entry
+	var total int64
+	for src := 0; src < 8; src++ {
+		xs := make([]float32, 128<<10)
+		for i := range xs {
+			xs[i] = 280 + float32(src) + 8*float32(math.Sin(float64(i)/600))
+		}
+		data := mpi.Float32sToBytes(xs)
+		total += int64(len(data))
+		entries = append(entries, &metadata.Entry{
+			Key:    metadata.Key{Name: "theta", Source: src},
+			Layout: lay,
+			Inline: data,
+		})
+	}
+	return entries, total
+}
+
+// benchRow is one benchmark's figures in a suite's metrics. The dev boxes
+// have few CPUs, so the tracked signals are allocation counts, not parallel
 // speedups.
-type storeBenchResult struct {
+type benchRow struct {
 	Name        string  `json:"name"`
-	Backend     string  `json:"backend"`
-	PartSize    int64   `json:"part_size,omitempty"`
-	PutWorkers  int     `json:"put_workers,omitempty"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	MBPerS      float64 `json:"mb_per_s"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// storeBenchChecks records the correctness assertions the bench run proves
-// alongside the numbers: identical input must yield identical manifests
-// (content addressing is deterministic), re-uploads must dedupe, and the
-// restored byte stream must match across backends.
-type storeBenchChecks struct {
-	DeterministicManifests bool  `json:"deterministic_manifests"`
-	DedupeHits             int64 `json:"dedupe_hits"`
-	DedupeAllParts         bool  `json:"dedupe_all_parts"`
-	ByteIdenticalRestore   bool  `json:"byte_identical_restore"`
-}
-
-// benchPersist measures one backend's persist path with the shared
-// 8-chunk/4-MiB workload.
-func benchPersist(name string, open func(dir string) (store.Backend, error),
-	partSize int64, putWorkers int) (storeBenchResult, error) {
-	entries, total := persistWorkload()
-	var openErr error
+// measure benchmarks fn, which moves size bytes per op, and returns its
+// figures, or the first error fn returned.
+func measure(name string, size int64, fn func(b *testing.B) error) (benchRow, error) {
+	var err error
 	r := testing.Benchmark(func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "damaris-store-bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		backend, err := open(dir)
-		if err != nil {
-			openErr = err
-			b.Fatal(err)
-		}
-		defer backend.Close()
-		pers := &core.DSFPersister{Backend: backend, Codec: dsf.None}
-		b.SetBytes(total)
+		b.SetBytes(size)
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := pers.Persist(int64(i%64), entries); err != nil {
-				b.Fatal(err)
-			}
+		if e := fn(b); e != nil && err == nil {
+			err = e
 		}
 	})
-	if openErr != nil {
-		return storeBenchResult{}, openErr
+	if err != nil {
+		return benchRow{}, err
 	}
-	scheme := "file"
-	if partSize > 0 {
-		scheme = "obj"
-	}
-	return storeBenchResult{
+	return benchRow{
 		Name:        name,
-		Backend:     scheme,
-		PartSize:    partSize,
-		PutWorkers:  putWorkers,
 		NsPerOp:     r.NsPerOp(),
-		MBPerS:      float64(total) / 1e6 / (float64(r.NsPerOp()) / 1e9),
+		MBPerS:      float64(size) / 1e6 / (float64(r.NsPerOp()) / 1e9),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 	}, nil
 }
 
-// runStoreChecks proves the objstore's determinism, dedupe and cross-backend
-// byte identity on a fixed workload.
-func runStoreChecks(partSize int64) (storeBenchChecks, error) {
-	var checks storeBenchChecks
-	entries, _ := persistWorkload()
+func openFileStore(dir string) (store.Backend, error) {
+	return store.NewFileStore(dir, store.Options{})
+}
 
+// benchPersist measures one backend's uncompressed persist path with the
+// shared workload.
+func benchPersist(name string, open func(dir string) (store.Backend, error)) (benchRow, error) {
+	entries, total := persistWorkload()
+	return measure(name, total, func(b *testing.B) error {
+		dir, err := os.MkdirTemp("", "damaris-store-bench")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		backend, err := open(dir)
+		if err != nil {
+			return err
+		}
+		defer backend.Close()
+		pers := &core.DSFPersister{Backend: backend, Codec: dsf.None}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := pers.Persist(int64(i%64), entries); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// storeMetrics is the store suite's report: persist figures per backend,
+// and the objstore's determinism, dedupe and cross-backend byte identity on
+// one fixed iteration.
+type storeMetrics struct {
+	Benchmarks             []benchRow `json:"benchmarks"`
+	DeterministicManifests bool       `json:"deterministic_manifests"`
+	Parts                  int        `json:"parts"`
+	DedupeHits             int64      `json:"dedupe_hits"`
+	ByteIdenticalRestore   bool       `json:"byte_identical_restore"`
+}
+
+// storePartSize keeps the parts small so the workload spans many.
+const storePartSize = 256 << 10
+
+func measureStore() (storeMetrics, error) {
+	var m storeMetrics
+	objStore := func(workers int) func(string) (store.Backend, error) {
+		return func(dir string) (store.Backend, error) {
+			return store.NewObjStore(dir, store.Options{PartSize: storePartSize, PutWorkers: workers})
+		}
+	}
+	cases := []struct {
+		name string
+		open func(dir string) (store.Backend, error)
+	}{
+		{"persist_filestore", openFileStore},
+		{"persist_objstore_w1", objStore(1)},
+		{"persist_objstore_w4", objStore(4)},
+	}
+	for _, c := range cases {
+		r, err := benchPersist(c.name, c.open)
+		if err != nil {
+			return m, err
+		}
+		m.Benchmarks = append(m.Benchmarks, r)
+	}
+
+	entries, _ := persistWorkload()
 	dir, err := os.MkdirTemp("", "damaris-store-checks")
 	if err != nil {
-		return checks, err
+		return m, err
 	}
 	defer os.RemoveAll(dir)
-
-	obj, err := store.NewObjStore(filepath.Join(dir, "obj"), store.Options{PartSize: partSize})
+	obj, err := store.NewObjStore(filepath.Join(dir, "obj"), store.Options{PartSize: storePartSize})
 	if err != nil {
-		return checks, err
+		return m, err
 	}
-	fileB, err := store.NewFileStore(filepath.Join(dir, "file"), store.Options{})
+	defer obj.Close()
+	fileB, err := openFileStore(filepath.Join(dir, "file"))
 	if err != nil {
-		return checks, err
+		return m, err
 	}
+	defer fileB.Close()
 
 	// The same iteration persisted under two object names and through the
-	// file backend.
+	// file backend. The copy goes through the persister's own write path,
+	// so the two streams are byte-identical by construction and every
+	// content-addressed part must dedupe.
 	op := &core.DSFPersister{Backend: obj, Codec: dsf.None}
 	fp := &core.DSFPersister{Backend: fileB, Codec: dsf.None}
 	if err := op.Persist(0, entries); err != nil {
-		return checks, err
+		return m, err
 	}
 	before := obj.Stats()
-	// The copy goes through the persister's own write path under a second
-	// name, so the two streams are byte-identical by construction and every
-	// content-addressed part must dedupe.
 	if err := op.PersistAs("copy.dsf", entries); err != nil {
-		return checks, err
+		return m, err
 	}
 	after := obj.Stats()
 	if err := fp.Persist(0, entries); err != nil {
-		return checks, err
+		return m, err
 	}
 
 	orig := op.Files()[0]
 	m1, err := obj.Manifest(orig)
 	if err != nil {
-		return checks, err
+		return m, err
 	}
 	m2, err := obj.Manifest("copy.dsf")
 	if err != nil {
-		return checks, err
+		return m, err
 	}
-	checks.DeterministicManifests = len(m1.Parts) == len(m2.Parts)
+	m.DeterministicManifests = len(m1.Parts) == len(m2.Parts)
 	for i := range m1.Parts {
 		if i >= len(m2.Parts) || m1.Parts[i].SHA256 != m2.Parts[i].SHA256 {
-			checks.DeterministicManifests = false
+			m.DeterministicManifests = false
 		}
 	}
-	checks.DedupeHits = after.DedupeHits - before.DedupeHits
-	checks.DedupeAllParts = checks.DedupeHits == int64(len(m2.Parts))
+	m.Parts = len(m2.Parts)
+	m.DedupeHits = after.DedupeHits - before.DedupeHits
 
 	objBytes, err := readObject(obj, orig)
 	if err != nil {
-		return checks, err
+		return m, err
 	}
 	fileBytes, err := readObject(fileB, fp.Files()[0])
 	if err != nil {
-		return checks, err
+		return m, err
 	}
-	checks.ByteIdenticalRestore = bytes.Equal(objBytes, fileBytes)
-	return checks, nil
+	m.ByteIdenticalRestore = bytes.Equal(objBytes, fileBytes)
+	return m, nil
+}
+
+func storeGates(m storeMetrics) []gate {
+	return []gate{
+		isTrue("deterministic_manifests", m.DeterministicManifests),
+		equal("dedupe_hits", m.DedupeHits, int64(m.Parts)),
+		isTrue("byte_identical_restore", m.ByteIdenticalRestore),
+	}
 }
 
 // readObject returns a committed object's full byte stream.
@@ -168,62 +223,4 @@ func readObject(b store.Backend, name string) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// runStoreBench benchmarks the persist path through both storage backends
-// and writes BENCH_store.json (numbers + correctness checks). A failed
-// check is an error: the bench doubles as the determinism regression gate.
-func runStoreBench(outPath string) error {
-	const partSize = 256 << 10 // small parts so the workload spans many
-	cases := []struct {
-		name       string
-		partSize   int64
-		putWorkers int
-		open       func(dir string) (store.Backend, error)
-	}{
-		{name: "persist_filestore", open: func(dir string) (store.Backend, error) {
-			return store.NewFileStore(dir, store.Options{})
-		}},
-		{name: "persist_objstore_w1", partSize: partSize, putWorkers: 1,
-			open: func(dir string) (store.Backend, error) {
-				return store.NewObjStore(dir, store.Options{PartSize: partSize, PutWorkers: 1})
-			}},
-		{name: "persist_objstore_w4", partSize: partSize, putWorkers: 4,
-			open: func(dir string) (store.Backend, error) {
-				return store.NewObjStore(dir, store.Options{PartSize: partSize, PutWorkers: 4})
-			}},
-	}
-	var results []storeBenchResult
-	for _, c := range cases {
-		r, err := benchPersist(c.name, c.open, c.partSize, c.putWorkers)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-		fmt.Printf("%-24s %12d ns/op %8.1f MB/s %6d allocs/op\n",
-			r.Name, r.NsPerOp, r.MBPerS, r.AllocsPerOp)
-	}
-
-	checks, err := runStoreChecks(partSize)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("checks: deterministic_manifests=%v dedupe_hits=%d dedupe_all_parts=%v byte_identical_restore=%v\n",
-		checks.DeterministicManifests, checks.DedupeHits, checks.DedupeAllParts, checks.ByteIdenticalRestore)
-
-	out, err := json.MarshalIndent(struct {
-		Benchmarks []storeBenchResult `json:"benchmarks"`
-		Checks     storeBenchChecks   `json:"checks"`
-	}{results, checks}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	if !checks.DeterministicManifests || !checks.DedupeAllParts || !checks.ByteIdenticalRestore {
-		return fmt.Errorf("store determinism checks failed (see %s)", outPath)
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"damaris/internal/dsf"
+	"damaris/internal/leakcheck"
 	"damaris/internal/metadata"
 	"damaris/internal/store"
 )
@@ -81,6 +82,7 @@ func readObject(t *testing.T, b store.Backend, name string) []byte {
 // the merged object is durable, and every committed object must be
 // byte-identical to a fault-free run's.
 func TestLeaderCrashDuringBrownoutCommitsExactlyOnce(t *testing.T) {
+	leakcheck.Check(t)
 	const epochs = 4
 	objName := func(e int64) string { return fmt.Sprintf("node0000_it%06d.dsf", e) }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"damaris/internal/leakcheck"
 	"damaris/internal/metadata"
 )
 
@@ -70,6 +71,7 @@ func (s *gateSink) commitCount(epoch int64) int {
 // re-emits the pending epoch — and no contributor is acked (no client chunk
 // released) until the successor's commit is actually durable.
 func TestLeaderCrashReelectsWithoutEarlyAck(t *testing.T) {
+	leakcheck.Check(t)
 	w := newMemEpochWriter()
 	inner := &StoreSink{
 		Writer:     w,
@@ -176,6 +178,7 @@ func TestLeaderCrashReelectsWithoutEarlyAck(t *testing.T) {
 // while — still converges: terms advance, every epoch commits exactly once,
 // and every contributor is acked.
 func TestLeaderCrashStormConverges(t *testing.T) {
+	leakcheck.Check(t)
 	const epochs = 4
 	w := newMemEpochWriter()
 	agg, err := New(Config{

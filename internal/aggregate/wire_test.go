@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"damaris/internal/dsf"
+	"damaris/internal/leakcheck"
 	"damaris/internal/mpi"
 	"damaris/internal/obs"
 )
@@ -17,6 +18,7 @@ import (
 // merges whole nodes and commits one object per epoch. This is the fan-in
 // routing Deploy wires in "node" mode, exercised in isolation.
 func TestCrossNodeForwardingRoundTrip(t *testing.T) {
+	leakcheck.Check(t)
 	const nodes = 3
 	const epochs = 3
 	w := newMemEpochWriter()

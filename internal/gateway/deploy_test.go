@@ -11,6 +11,7 @@ import (
 	"damaris/internal/config"
 	"damaris/internal/core"
 	"damaris/internal/layout"
+	"damaris/internal/leakcheck"
 	"damaris/internal/mpi"
 	"damaris/internal/store"
 )
@@ -94,6 +95,7 @@ func runDeploy(t *testing.T, root string, iters int64) {
 // obj:// store return byte-identical chunk and assembled-field responses for
 // every object a core.Deploy run produced.
 func TestTwoReplicasServeDeployOutput(t *testing.T) {
+	leakcheck.Check(t)
 	root := t.TempDir()
 	runDeploy(t, root, 2)
 

@@ -12,6 +12,7 @@ import (
 
 	"damaris/internal/dsf"
 	"damaris/internal/layout"
+	"damaris/internal/leakcheck"
 	"damaris/internal/mpi"
 	"damaris/internal/store"
 	"damaris/internal/viz"
@@ -99,6 +100,7 @@ func newGateway(t *testing.T, b store.Backend, cfg Config) *Gateway {
 // byte must match the store's serial path, and singleflight plus the LRU must
 // keep backend Gets at no more than one per part.
 func TestGatewayConcurrentRangesMatchSerial(t *testing.T) {
+	leakcheck.Check(t)
 	b := newBackend(t, 1024)
 	writeDSFObject(t, b, "stress.dsf", 0, 4, 1)
 	ref := serialBytes(t, b, "stress.dsf")

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"damaris/internal/leakcheck"
 	"damaris/internal/stats"
 )
 
@@ -211,6 +212,7 @@ func TestFederateAssociativeForSummedKinds(t *testing.T) {
 // must stay clean, and once the writers quiesce two gathers must render
 // byte-identically.
 func TestFederatorConcurrentObserves(t *testing.T) {
+	leakcheck.Check(t)
 	fed := NewFederator()
 	regs := make([]*Registry, 4)
 	for r := range regs {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"damaris/internal/leakcheck"
 )
 
 func planeWithSpans(t *testing.T) *Plane {
@@ -40,6 +42,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (string, string) {
 }
 
 func TestPlaneRoutes(t *testing.T) {
+	leakcheck.Check(t)
 	p := planeWithSpans(t)
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
@@ -284,6 +287,7 @@ func TestEpochsRoute(t *testing.T) {
 }
 
 func TestFleetRoutes(t *testing.T) {
+	leakcheck.Check(t)
 	p := planeWithSpans(t)
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
