@@ -117,8 +117,8 @@ func (p *aggPersister) PersistBatch(batch []IterationBatch) error {
 }
 
 // StoreStats exposes the merged-object writer's backend metrics (leader
-// only; sibling members report zero — cmd/damaris-run aggregates across
-// servers, so the node's figures are counted exactly once).
+// only; sibling members report zero, so a sum across servers counts the
+// node's figures exactly once).
 func (p *aggPersister) StoreStats() store.Stats {
 	if p.sa.statser == nil {
 		return store.Stats{}

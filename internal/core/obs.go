@@ -7,9 +7,9 @@ import (
 )
 
 // Registry emission for the core layer's snapshot structs. Every figure here
-// comes from the same snapshot call (Server.PipelineStats and friends) the
-// end-of-run report prints, so a live scrape mid-run and the final report
-// can never disagree on a value both carry.
+// comes from a snapshot call (Server.PipelineStats and friends) at gather
+// time; damaris-run renders its end-of-run report from one such gather, so
+// a live scrape and the final report are the same samples.
 
 // Emit writes the pipeline snapshot into a registry gather under the
 // damaris_pipeline_* families, fanning out to the encode, store, spill,
@@ -28,7 +28,9 @@ func (ps PipelineStats) Emit(e *obs.Emitter, labels ...string) {
 	e.Summary("damaris_pipeline_flush_seconds", ps.FlushLatency, labels...)
 	e.Summary("damaris_pipeline_batch_size", ps.BatchSize, labels...)
 	ps.Encode.Emit(e, labels...)
-	ps.Store.Emit(e, labels...)
+	if ps.Store.Scheme != "" { // no backend yet, or not this server's to emit (RegisterObs)
+		ps.Store.Emit(e, labels...)
+	}
 	ps.Spill.Emit(e, labels...)
 	ps.Control.Emit(e, labels...)
 	if ps.Aggregate.Members > 0 {

@@ -84,7 +84,8 @@ type Server struct {
 
 	mu           sync.Mutex
 	shardWS      control.WorkerSet // per-shard-loop busy bookkeeping (one slot per shard)
-	writeDurs    []float64         // seconds spent persisting, per iteration
+	writeDurs    []float64         // seconds spent persisting, per iteration (exact, for WriteTimes)
+	writeAcc     stats.Accumulator // the same durations, summarized without retaining them
 	spareDur     float64           // seconds spent idle waiting for events
 	busyDur      float64           // seconds handling events (incl. persisting only in the sync baseline)
 	bytesWritten int64
@@ -341,19 +342,39 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 	return s, nil
 }
 
-// RegisterObs registers this server's live metric collectors on a registry.
-// Live scrapes read the exact snapshot functions the end-of-run report
-// prints — the two can never disagree. newServer calls it for the shared
-// plane; damaris-run calls it again with per-rank registries so the
-// federator can expose a rank-by-rank fleet view.
+// RegisterObs registers this server's live metric collectors on a registry,
+// every series labelled with the server's rank. newServer calls it for the
+// deployment's plane; a caller may add it to a private registry of its own.
 func (s *Server) RegisterObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
+	id := fmt.Sprint(s.id)
 	reg.Collect(func(e *obs.Emitter) {
-		s.PipelineStats().Emit(e, "server", fmt.Sprint(s.id))
-		s.emitServer(e, "server", fmt.Sprint(s.id))
+		ps := s.PipelineStats()
+		if !s.opensStore() {
+			// A caller-supplied backend may be shared by every server:
+			// whoever opened it emits its figures, once.
+			ps.Store = store.Stats{}
+		}
+		ps.Emit(e, "server", id)
+		s.emitServer(e, "server", id)
 	})
+}
+
+// opensStore reports whether this server or its own persister opened the
+// backend behind PipelineStats.Store. A caller-supplied DSFPersister.Backend
+// belongs to the caller.
+func (s *Server) opensStore() bool {
+	if s.ownStore != nil {
+		return true
+	}
+	var p any = s.persister
+	if s.agg != nil {
+		p = s.agg.statser
+	}
+	dp, ok := p.(*DSFPersister)
+	return ok && dp.Backend == nil
 }
 
 // ID returns the server's world rank.
@@ -373,11 +394,6 @@ func (s *Server) Inject(ev event.Event) { s.queue.Push(ev) }
 // ShardCount returns the number of event-loop shards this server runs
 // (1 = the classic single loop).
 func (s *Server) ShardCount() int { return len(s.shards) }
-
-// SpareBudget reports the node spare-core budget the control plane enforces
-// and the cores of it reserved for shard loops. Both are 0 when budgeting is
-// off (neither shards auto mode nor an explicit budget engaged it).
-func (s *Server) SpareBudget() (budget, reserved int) { return s.budget, s.reserved }
 
 // Run executes the dedicated-core loop(s) until every client has finalized
 // and all shard queues have drained. With one shard it runs the loop inline
@@ -591,6 +607,7 @@ func (s *Server) tune() {
 func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes int64, err error) {
 	s.mu.Lock()
 	s.writeDurs = append(s.writeDurs, persistDur)
+	s.writeAcc.Add(persistDur)
 	s.iterations = append(s.iterations, it)
 	if err == nil {
 		s.bytesWritten += bytes
@@ -664,11 +681,13 @@ func (s *Server) HandleErrors() []error {
 	return append([]error(nil), s.handleErrs...)
 }
 
-// WriteStats summarizes the dedicated core's per-iteration write times.
+// WriteStats summarizes the dedicated core's per-iteration write times:
+// count, mean, min and max from a running accumulator, so a scrape costs the
+// same however long the run (WriteTimes keeps the exact samples).
 func (s *Server) WriteStats() stats.Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return stats.Summarize(s.writeDurs)
+	return s.writeAcc.Summary()
 }
 
 // PipelineStats snapshots the write-behind pipeline's per-stage metrics
@@ -680,6 +699,10 @@ func (s *Server) PipelineStats() PipelineStats {
 	ps.Window = s.window()
 	ps.Shards = s.shardStats()
 	ps.Control = s.tuner.Stats()
+	if s.tuner == nil {
+		// Static control has no tuner to echo an engaged budget.
+		ps.Control.Budget, ps.Control.Reserved = s.budget, s.reserved
+	}
 	ps.Encode = s.encodePool().Stats()
 	// Storage-backend metrics, when the persister exposes them (the DSF
 	// persister always does once it has written).
@@ -705,7 +728,8 @@ func (s *Server) PipelineStats() PipelineStats {
 // configuration: persist writers (0 = synchronous baseline), client
 // flow-window depth and encode workers. Under static control these are
 // exactly the configured knobs; under auto control they are wherever the
-// tuner currently sits — what damaris-run's report lines print.
+// tuner currently sits — what the damaris_pipeline_workers/_window and
+// damaris_encode_workers gauges export.
 func (s *Server) EffectiveSizes() (writers, window, encode int) {
 	return s.pipe.workers(), s.window(), s.encodePool().Workers()
 }

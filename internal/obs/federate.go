@@ -26,10 +26,10 @@ import (
 //     ranks is not a depth of 6), so each rank's value is kept as a
 //     labeled per-rank series (label `rank`) and the fleet view adds
 //     `<name>_min`/`<name>_max` gauge rollups;
-//   - summary quantile series (label `quantile`) likewise cannot be
-//     merged exactly, so they stay per-rank; their `_sum`/`_count`
-//     companions sum and `_min`/`_max` take fleet extremes — Spread
-//     (max−min) stays exact fleet-wide.
+//   - summary `_sum`/`_count` companions sum and `_min`/`_max` take fleet
+//     extremes — Spread (max−min) stays exact fleet-wide. Emitter.Summary
+//     exports no quantiles, but a remote scrape may still carry them and
+//     they cannot be merged exactly, so quantile series stay per-rank.
 //
 // Determinism: sources are sorted by rank id before merging, so the output
 // — and therefore the /fleet/metrics bytes — is identical regardless of
@@ -70,7 +70,7 @@ func opFor(s Sample) mergeOp {
 		}
 		return opSum
 	case KindSummary:
-		if hasLabel(s.Labels, "quantile") {
+		if labelAt(s.Labels, "quantile") >= 0 {
 			return opPerRank
 		}
 		switch {
@@ -85,13 +85,15 @@ func opFor(s Sample) mergeOp {
 	}
 }
 
-func hasLabel(labels []string, key string) bool {
+// labelAt returns the index of key in an alternating key/value label list,
+// or -1 when the key is absent.
+func labelAt(labels []string, key string) int {
 	for i := 0; i+1 < len(labels); i += 2 {
 		if labels[i] == key {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // rankLess orders source ranks: numeric ids numerically (so rank 10 sorts
@@ -175,11 +177,53 @@ func Federate(sources []FedSource) []Sample {
 	return out
 }
 
-// Federator gathers N sources (in-process registries, custom gather
-// functions, or remote /metrics.json scrapes) and serves their federated
-// merge. Safe for concurrent use; sources are normally added during wiring
-// but adding mid-serve (damaris-run registers each dedicated core as it
-// deploys) is fine.
+// splitByLabel partitions samples on one label key: every series carrying
+// the key joins the source named by its value, with the label removed, and
+// the series without it come back unchanged as rest. It turns one registry
+// whose collectors label their series by server into the per-rank sources
+// Federate merges. Sources keep first-seen order; Federate sorts them.
+func splitByLabel(samples []Sample, key string) (sources []FedSource, rest []Sample) {
+	idx := make(map[string]int)
+	for _, s := range samples {
+		at := labelAt(s.Labels, key)
+		if at < 0 {
+			rest = append(rest, s)
+			continue
+		}
+		v := s.Labels[at+1]
+		i, ok := idx[v]
+		if !ok {
+			i = len(sources)
+			idx[v] = i
+			sources = append(sources, FedSource{Rank: v})
+		}
+		s.Labels = append(append(make([]string, 0, len(s.Labels)-2), s.Labels[:at]...), s.Labels[at+2:]...)
+		sources[i].Samples = append(sources[i].Samples, s)
+	}
+	return sources, rest
+}
+
+// Rollup folds the series carrying label key across its values under the
+// federation algebra: counters and _sum/_count add, _min/_max take the
+// extremes, and gauges keep only their _min/_max rollups (the per-value
+// series are dropped). Series without the key pass through unchanged. The
+// output is in canonical exposition order. It is how a registry whose
+// collectors label their series by server reads as one node-set total.
+func Rollup(samples []Sample, key string) []Sample {
+	srcs, out := splitByLabel(samples, key)
+	for _, s := range Federate(srcs) {
+		if labelAt(s.Labels, FedRankLabel) < 0 {
+			out = append(out, s)
+		}
+	}
+	sortSamples(out)
+	return out
+}
+
+// Federator gathers N sources (in-process registries, one registry split
+// by label, custom gather functions, or remote /metrics.json scrapes) and
+// serves their federated merge. Safe for concurrent use; sources are
+// normally added during wiring but adding mid-serve is fine.
 type Federator struct {
 	mu      sync.Mutex
 	sources []fedSource
@@ -189,6 +233,7 @@ type Federator struct {
 type fedSource struct {
 	rank   string
 	gather func() ([]Sample, error)
+	split  string // non-empty: one source per value of this label
 }
 
 // NewFederator builds an empty federator.
@@ -202,13 +247,26 @@ func (f *Federator) AddRegistry(rank string, reg *Registry) {
 	f.AddFunc(rank, func() ([]Sample, error) { return reg.Gather(), nil })
 }
 
+// AddSplitRegistry adds one in-process registry whose collectors label
+// their series by key (a server id): each fleet gather gathers it once and
+// splits it with splitByLabel, one source per label value, so N labelled
+// collectors cost N per scrape. Series without the key are not part of the
+// fleet view.
+func (f *Federator) AddSplitRegistry(key string, reg *Registry) {
+	f.add(fedSource{split: key, gather: func() ([]Sample, error) { return reg.Gather(), nil }})
+}
+
 // AddFunc adds a source backed by an arbitrary gather function.
 func (f *Federator) AddFunc(rank string, gather func() ([]Sample, error)) {
+	f.add(fedSource{rank: rank, gather: gather})
+}
+
+func (f *Federator) add(src fedSource) {
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
-	f.sources = append(f.sources, fedSource{rank: rank, gather: gather})
+	f.sources = append(f.sources, src)
 	f.mu.Unlock()
 }
 
@@ -237,7 +295,8 @@ func (f *Federator) AddURL(rank, base string) {
 	})
 }
 
-// Sources returns the number of registered sources.
+// Sources returns the number of registered sources; a split registry
+// counts once.
 func (f *Federator) Sources() int {
 	if f == nil {
 		return 0
@@ -248,10 +307,11 @@ func (f *Federator) Sources() int {
 }
 
 // Gather collects every source and returns the federated sample set plus
-// the fleet meta series: damaris_fleet_sources (how many sources are
-// registered) and damaris_fleet_source_up{rank} (1 if the source's last
-// gather succeeded). A failing source contributes up=0 and no samples —
-// one dead replica degrades the fleet view instead of blanking it.
+// the fleet meta series: damaris_fleet_sources (how many sources the gather
+// saw, a split registry counting one per label value) and
+// damaris_fleet_source_up{rank} (1 if the source's gather succeeded). A
+// failing source contributes up=0 and no samples — one dead replica
+// degrades the fleet view instead of blanking it.
 func (f *Federator) Gather() []Sample {
 	if f == nil {
 		return nil
@@ -261,22 +321,32 @@ func (f *Federator) Gather() []Sample {
 	f.mu.Unlock()
 
 	fed := make([]FedSource, 0, len(sources))
-	meta := []Sample{{Name: "damaris_fleet_sources", Kind: KindGauge, Value: float64(len(sources))}}
-	for _, src := range sources {
-		samples, err := src.gather()
-		up := 1.0
-		if err != nil {
-			up = 0
-		} else {
-			fed = append(fed, FedSource{Rank: src.rank, Samples: samples})
-		}
+	var meta []Sample
+	up := func(rank string, v float64) {
 		meta = append(meta, Sample{
 			Name:   "damaris_fleet_source_up",
-			Labels: []string{FedRankLabel, src.rank},
+			Labels: []string{FedRankLabel, rank},
 			Kind:   KindGauge,
-			Value:  up,
+			Value:  v,
 		})
 	}
+	for _, src := range sources {
+		samples, err := src.gather()
+		switch {
+		case err != nil:
+			up(src.rank, 0)
+		case src.split != "":
+			split, _ := splitByLabel(samples, src.split)
+			for _, s := range split {
+				fed = append(fed, s)
+				up(s.Rank, 1)
+			}
+		default:
+			fed = append(fed, FedSource{Rank: src.rank, Samples: samples})
+			up(src.rank, 1)
+		}
+	}
+	meta = append(meta, Sample{Name: "damaris_fleet_sources", Kind: KindGauge, Value: float64(len(meta))})
 	out := append(Federate(fed), meta...)
 	sortSamples(out)
 	return out

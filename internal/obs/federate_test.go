@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,8 +18,8 @@ import (
 // fedTestRegistry builds one rank's registry: a shared unlabeled counter
 // (summed across ranks), a per-rank-labeled counter (disjoint series), a
 // gauge (per-rank series + rollups), a histogram on shared bounds
-// (bucket-wise sum) and a summary collector (per-rank quantiles, merged
-// extremes).
+// (bucket-wise sum) and a summary collector with a raw quantile series
+// (per-rank quantiles, merged extremes).
 func fedTestRegistry(rank int, obsCount int) *Registry {
 	reg := NewRegistry()
 	reg.Counter("test_shared_total").Add(int64(100 * (rank + 1)))
@@ -30,9 +31,13 @@ func fedTestRegistry(rank int, obsCount int) *Registry {
 		h.Observe(rng.Float64() / 100)
 	}
 	reg.Collect(func(e *Emitter) {
-		e.Summary("test_write_seconds", stats.Summarize([]float64{
+		s := stats.Summarize([]float64{
 			0.001 * float64(rank+1), 0.002 * float64(rank+1), 0.004 * float64(rank+1),
-		}))
+		})
+		e.Summary("test_write_seconds", s)
+		// Emitter.Summary exports no quantiles, but a remote scrape may
+		// still carry one: feed it raw.
+		e.add(KindSummary, "test_write_seconds", s.Median, []string{"quantile", "0.5"})
 	})
 	return reg
 }
@@ -170,6 +175,105 @@ func TestFederateMergeSemantics(t *testing.T) {
 	}
 	if got := fedValue(t, fed, "test_write_seconds_max"); got != 0.012 {
 		t.Errorf("summary max = %v, want 0.012", got)
+	}
+}
+
+// splitByLabel turns one registry's server-labelled series into per-rank
+// sources (label removed) and passes the rest through unchanged; federating
+// the split sums a counter across servers.
+func TestSplitByLabel(t *testing.T) {
+	samples := []Sample{
+		{Name: "ops_total", Labels: []string{"op", "put", "server", "2"}, Kind: KindCounter, Value: 3},
+		{Name: "ops_total", Labels: []string{"op", "put", "server", "10"}, Kind: KindCounter, Value: 4},
+		{Name: "slots", Kind: KindGauge, Value: 8},
+	}
+	srcs, rest := splitByLabel(samples, "server")
+	if len(srcs) != 2 || srcs[0].Rank != "2" || srcs[1].Rank != "10" {
+		t.Fatalf("sources = %+v", srcs)
+	}
+	if got := srcs[1].Samples[0].Labels; len(got) != 2 || got[0] != "op" || got[1] != "put" {
+		t.Errorf("split labels = %v, want [op put]", got)
+	}
+	if samples[0].Labels[3] != "2" {
+		t.Errorf("split mutated its input: %v", samples[0].Labels)
+	}
+	if len(rest) != 1 || rest[0].Name != "slots" {
+		t.Errorf("rest = %+v", rest)
+	}
+	if got := fedValue(t, Federate(srcs), "ops_total", "op", "put"); got != 7 {
+		t.Errorf("federated split = %v, want 7", got)
+	}
+}
+
+// Rollup folds the server-labelled series into node-set totals — counters
+// add, summary extremes hold, gauges keep only their _min/_max — and passes
+// the unlabelled series through, all in exposition order.
+func TestRollup(t *testing.T) {
+	samples := []Sample{
+		{Name: "puts_total", Kind: KindCounter, Value: 12},
+		{Name: "ops_total", Labels: []string{"server", "2"}, Kind: KindCounter, Value: 3},
+		{Name: "ops_total", Labels: []string{"server", "10"}, Kind: KindCounter, Value: 4},
+		{Name: "lat_seconds_max", Labels: []string{"server", "2"}, Kind: KindSummary, Value: 0.5},
+		{Name: "lat_seconds_max", Labels: []string{"server", "10"}, Kind: KindSummary, Value: 0.9},
+		{Name: "depth", Labels: []string{"server", "2"}, Kind: KindGauge, Value: 1},
+		{Name: "depth", Labels: []string{"server", "10"}, Kind: KindGauge, Value: 5},
+	}
+	got := Rollup(samples, "server")
+	var names []string
+	for _, s := range got {
+		if len(s.Labels) != 0 {
+			t.Errorf("%s kept labels %v", s.Name, s.Labels)
+		}
+		names = append(names, s.Name)
+	}
+	if want := "depth_max depth_min lat_seconds_max ops_total puts_total"; strings.Join(names, " ") != want {
+		t.Fatalf("rollup series = %q, want %q", strings.Join(names, " "), want)
+	}
+	for name, want := range map[string]float64{
+		"depth_max": 5, "depth_min": 1, "lat_seconds_max": 0.9, "ops_total": 7, "puts_total": 12,
+	} {
+		if v := fedValue(t, got, name); v != want {
+			t.Errorf("%s = %v, want %v", name, v, want)
+		}
+	}
+}
+
+// A split registry is gathered once per fleet scrape however many label
+// values it carries, and each value reads as its own source.
+func TestFederatorSplitRegistryGathersOnce(t *testing.T) {
+	reg := NewRegistry()
+	gathers := 0
+	reg.Collect(func(e *Emitter) {
+		gathers++
+		for _, id := range []string{"4", "8"} {
+			e.Counter("ops_total", 2, "server", id)
+		}
+		e.Gauge("unlabelled", 1)
+	})
+	fed := NewFederator()
+	fed.AddSplitRegistry("server", reg)
+	out := fed.Gather()
+	if gathers != 1 {
+		t.Errorf("fleet gather ran the registry %d times, want 1", gathers)
+	}
+	if err := CheckSamples(out); err != nil {
+		t.Fatalf("split fleet view not exposable: %v", err)
+	}
+	if got := fedValue(t, out, "damaris_fleet_sources"); got != 2 {
+		t.Errorf("fleet sources = %v, want 2", got)
+	}
+	for _, rank := range []string{"4", "8"} {
+		if got := fedValue(t, out, "damaris_fleet_source_up", FedRankLabel, rank); got != 1 {
+			t.Errorf("source up[%s] = %v, want 1", rank, got)
+		}
+	}
+	if got := fedValue(t, out, "ops_total"); got != 4 {
+		t.Errorf("ops_total = %v, want 4", got)
+	}
+	for _, s := range out {
+		if s.Name == "unlabelled" {
+			t.Errorf("series without the split label reached the fleet view: %+v", s)
+		}
 	}
 }
 

@@ -462,16 +462,12 @@ func (e *Emitter) Gauge(name string, v float64, labels ...string) {
 }
 
 // Summary emits a stats.Summary as a Prometheus-style summary family:
-// median/p95/p99 quantiles plus _sum, _count, _min and _max companions —
-// min and max because Spread (max−min) is the paper's jitter figure.
+// _sum, _count, _min and _max — min and max because Spread (max−min) is the
+// paper's jitter figure. It emits no quantile series: every layer feeds it
+// from a streaming stats.Accumulator, which keeps no order statistics, and
+// exact per-stage percentiles come from the tracer (/jitter).
 func (e *Emitter) Summary(name string, s stats.Summary, labels ...string) {
 	ls := sortLabels(labels)
-	q := func(qv string, v float64) {
-		e.add(KindSummary, name, v, append(append([]string(nil), ls...), "quantile", qv))
-	}
-	q("0.5", s.Median)
-	q("0.95", s.P95)
-	q("0.99", s.P99)
 	e.add(KindSummary, name+"_sum", s.Mean*float64(s.N), ls)
 	e.add(KindSummary, name+"_count", float64(s.N), ls)
 	e.add(KindSummary, name+"_min", s.Min, ls)

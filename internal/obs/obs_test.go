@@ -214,6 +214,26 @@ func TestCheckExposition(t *testing.T) {
 	}
 }
 
+// A summary exports only what a streaming accumulator knows: the
+// _sum/_count/_min/_max companions, never a quantile series.
+func TestSummaryEmitsNoQuantiles(t *testing.T) {
+	r := NewRegistry()
+	r.Collect(func(e *Emitter) {
+		e.Summary("dur_seconds", stats.Summarize([]float64{1, 2, 3}), "server", "0")
+	})
+	var names []string
+	for _, s := range r.Gather() {
+		if labelAt(s.Labels, "quantile") >= 0 {
+			t.Errorf("quantile sample %s%v", s.Name, s.Labels)
+		}
+		names = append(names, s.Name)
+	}
+	want := []string{"dur_seconds_count", "dur_seconds_max", "dur_seconds_min", "dur_seconds_sum"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("summary samples = %v, want %v", names, want)
+	}
+}
+
 func TestCollectors(t *testing.T) {
 	r := NewRegistry()
 	calls := 0
